@@ -70,9 +70,8 @@ pub use wire::{
     StoredMeta, StoredTarget,
 };
 
-// A failed batch job, as surfaced by `MacroBank::try_run_batch`, and the
-// cooperative cancellation token its `_cancellable` variants take.
-pub use bpimc_stats::parallel::{CancelToken, CancellableBatch, JobPanic};
+// A failed batch job, as surfaced by `MacroBank::try_run_batch`.
+pub use bpimc_stats::parallel::JobPanic;
 
 // The precision type is part of this crate's public vocabulary.
 pub use bpimc_periph::{LogicOp, Precision};

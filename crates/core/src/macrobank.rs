@@ -35,8 +35,7 @@
 use crate::config::MacroConfig;
 use crate::macroblock::ImcMacro;
 use bpimc_stats::parallel::{
-    par_queue_map, par_queue_try_map, par_queue_try_map_cancellable, par_state_map, worker_count,
-    CancelToken, CancellableBatch, JobPanic,
+    par_queue_map, par_queue_try_map, par_state_map, worker_count, JobPanic,
 };
 
 /// Cache-line-aligned macro slot: neighbouring macros are mutated by
@@ -148,35 +147,6 @@ impl MacroBank {
         par_queue_try_map(&mut self.macros, jobs, |slot, job| f(&mut slot.0, job))
     }
 
-    /// [`MacroBank::try_run_batch`] with **cooperative cancellation**: the
-    /// token is checked in the claim queue between block claims, so a
-    /// batch whose deadline passes (or that a caller cancels) stops
-    /// claiming new jobs within one claim-queue block per lane — with zero
-    /// per-element overhead while the token is quiet. Jobs never claimed
-    /// return `None`; jobs already claimed when the token fires still
-    /// complete (their macro work and activity-log entries are real).
-    /// The returned [`CancellableBatch::cancelled`] flag reflects the
-    /// token's state when the batch finished — a token that fires after
-    /// the final block is claimed (every slot `Some`) still sets it.
-    pub fn try_run_batch_cancellable<J, T, F>(
-        &mut self,
-        jobs: &[J],
-        f: F,
-        cancel: &CancelToken,
-    ) -> CancellableBatch<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(&mut ImcMacro, &J) -> T + Sync,
-    {
-        par_queue_try_map_cancellable(
-            &mut self.macros,
-            jobs,
-            |slot, job| f(&mut slot.0, job),
-            cancel,
-        )
-    }
-
     /// Total hardware cycles across all macros — the amount of work done,
     /// identical to running the same jobs on one macro.
     pub fn total_cycles(&self) -> u64 {
@@ -284,53 +254,6 @@ mod tests {
     #[should_panic(expected = "at least one macro")]
     fn zero_macros_rejected() {
         let _ = MacroBank::new(0, MacroConfig::paper_macro());
-    }
-
-    #[test]
-    fn cancelled_batch_stops_claiming_within_one_block_per_lane() {
-        // The activity log is the ground truth: every executed job costs
-        // exactly 2 cycles (one write, one read), so the bank's total
-        // cycle count states precisely how many jobs ran after the token
-        // fired. Jobs sleep ~1 ms so the cancel store is visible to every
-        // lane long before its next claim check.
-        const JOBS: usize = 64;
-        const CANCEL_AT: u64 = 10;
-        let lanes = worker_count(JOBS).min(4);
-        let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
-        let jobs: Vec<u64> = (0..JOBS as u64).collect();
-        let token = bpimc_stats::parallel::CancelToken::new();
-        let out = bank.try_run_batch_cancellable(
-            &jobs,
-            |mac, &j| {
-                if j == CANCEL_AT {
-                    token.cancel();
-                }
-                mac.write_words(0, Precision::P8, &[j % 251]).unwrap();
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                mac.read_words(0, Precision::P8, 1).unwrap()[0]
-            },
-            &token,
-        );
-        assert!(out.cancelled, "the fired token must be reported");
-        let executed = out.results.iter().filter(|r| r.is_some()).count();
-        let abandoned = out.results.iter().filter(|r| r.is_none()).count();
-        // Block size is 1 at this batch shape, so after the cancel each
-        // lane may finish only the single job it already claimed.
-        let max_jobs = CANCEL_AT as usize + 1 + lanes;
-        assert!(
-            executed <= max_jobs,
-            "{executed} jobs ran after a cancel at job {CANCEL_AT} ({lanes} lanes)"
-        );
-        assert_eq!(executed + abandoned, JOBS);
-        assert!(abandoned > 0, "the cancel must shed most of the batch");
-        // The activity log agrees: exactly 2 cycles per executed job.
-        assert_eq!(bank.total_cycles(), 2 * executed as u64);
-        // The bank keeps serving after a cancelled batch.
-        let again = bank.run_batch(&jobs, |mac, &j| {
-            mac.write_words(0, Precision::P8, &[j + 1]).unwrap();
-            mac.read_words(0, Precision::P8, 1).unwrap()[0]
-        });
-        assert_eq!(again, jobs.iter().map(|j| j + 1).collect::<Vec<_>>());
     }
 
     #[test]

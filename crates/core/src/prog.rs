@@ -19,14 +19,19 @@
 //! * **A static cost model** — [`Program::cycles`] and
 //!   [`Program::predicted_activity`] predict the exact cycle count and
 //!   per-cycle activity (and therefore energy) of a run before it happens;
-//!   [`Program::run`] asserts the prediction against the activity log
-//!   afterwards.
+//!   every run asserts the prediction against the activity log afterwards.
 //! * **A lowering pass** ([`Program::lowered`]) — adjacent `add` + `shl`
 //!   pairs fuse into the hardware's single-cycle `add_shift` path when the
 //!   intermediate sum is dead afterwards.
 //!
-//! Execution runs on one macro ([`Program::run`]) or fans a batch of
-//! programs across a bank ([`MacroBank::run_programs`]).
+//! There is one executor. [`Program::compile`] validates and lowers once
+//! into a [`CompiledProgram`], whose single instruction loop backs every
+//! way of running a program: [`Program::run`] (compile, then run),
+//! [`CompiledProgram::run`], [`CompiledProgram::run_with_inputs`] (fresh
+//! write bindings per run) and [`CompiledProgram::run_outputs`]. On top of
+//! it, a batch of programs fans across a bank
+//! ([`MacroBank::run_programs`]) and one program's independent components
+//! spread across a bank's macros ([`MacroBank::run_partitioned`]).
 //!
 //! # Examples
 //!
@@ -413,10 +418,6 @@ pub enum ProgError {
     /// A [`CompiledProgram`] was run on a macro whose configuration differs
     /// from the one it was compiled (validated) for.
     ConfigMismatch,
-    /// A cooperative cancellation token fired before the run completed
-    /// ([`MacroBank::run_partitioned_cancellable`]); some components were
-    /// abandoned unexecuted.
-    Cancelled,
 }
 
 impl fmt::Display for ProgError {
@@ -489,9 +490,6 @@ impl fmt::Display for ProgError {
                     "compiled program run on a macro with a different configuration"
                 )
             }
-            ProgError::Cancelled => {
-                write!(f, "execution cancelled before the program completed")
-            }
         }
     }
 }
@@ -506,7 +504,7 @@ impl std::error::Error for ProgError {
 }
 
 impl ProgError {
-    /// The stable diagnostic code for this error kind (`E001`–`E013`, one
+    /// The stable diagnostic code for this error kind (`E001`–`E012`, one
     /// per variant), carried by `invalid_program` wire errors and
     /// [`analysis::Diagnostic`]s.
     pub fn code(&self) -> &'static str {
@@ -523,7 +521,6 @@ impl ProgError {
             ProgError::Exec { .. } => "E010",
             ProgError::Panicked(_) => "E011",
             ProgError::ConfigMismatch => "E012",
-            ProgError::Cancelled => "E013",
         }
     }
 
@@ -541,8 +538,7 @@ impl ProgError {
             ProgError::TooManyRegs { .. }
             | ProgError::InputCount { .. }
             | ProgError::Panicked(_)
-            | ProgError::ConfigMismatch
-            | ProgError::Cancelled => None,
+            | ProgError::ConfigMismatch => None,
         }
     }
 }
@@ -818,9 +814,10 @@ impl Program {
         Ok(cycles)
     }
 
-    /// Validates, then executes the lowered stream on `mac`, returning the
-    /// read outputs and exact per-instruction accounting spans into the
-    /// macro's activity log.
+    /// Compiles for `mac`'s configuration, then executes the lowered
+    /// stream on `mac` ([`CompiledProgram::run`]), returning the read
+    /// outputs and exact per-instruction accounting spans into the macro's
+    /// activity log.
     ///
     /// The static cost model is asserted against the activity log: a
     /// mismatch between [`Program::cycles`] and the cycles actually logged
@@ -836,28 +833,7 @@ impl Program {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        self.validate(mac.config())?;
-        // Fuse on the fly: the executor walks the submitted stream once,
-        // consulting the liveness table at each potential `add`+`shl` pair,
-        // so no lowered copy of the instructions (or of their payload
-        // vectors) is materialised per run.
-        let last_read = self.last_read_table();
-        let mut state = ExecState::new(mac, self.instrs.len(), self.read_count());
-        let mut predicted = 0u64;
-        let mut idx = 0;
-        while idx < self.instrs.len() {
-            if let Some(fused) = self.try_fuse_at(idx, &last_read) {
-                predicted += fused.cycles();
-                state.step(mac, &fused, idx)?;
-                idx += 2;
-            } else {
-                let instr = &self.instrs[idx];
-                predicted += instr.cycles();
-                state.step(mac, instr, idx)?;
-                idx += 1;
-            }
-        }
-        Ok(state.finish(mac, predicted))
+        self.compile(mac.config())?.run(mac)
     }
 
     /// Validates and lowers once for `config`, returning a
@@ -958,8 +934,7 @@ impl CompiledProgram {
     }
 
     /// Executes the pre-resolved op array on `mac` — no validation, no
-    /// lowering, just the instruction stream and its accounting. Same
-    /// results and same cost-model assertion as [`Program::run`].
+    /// lowering, just the instruction stream and its accounting.
     ///
     /// # Errors
     ///
@@ -972,14 +947,7 @@ impl CompiledProgram {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        if *mac.config() != self.config {
-            return Err(ProgError::ConfigMismatch);
-        }
-        let mut state = ExecState::new(mac, self.submitted, self.reads);
-        for (instr, idx) in &self.ops {
-            state.step(mac, instr, *idx)?;
-        }
-        Ok(state.finish(mac, self.predicted))
+        self.execute(mac, None)
     }
 
     /// Executes the pre-resolved op array with fresh *input bindings*: one
@@ -1012,47 +980,12 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<ProgramRun, ProgError> {
-        if *mac.config() != self.config {
-            return Err(ProgError::ConfigMismatch);
-        }
-        self.check_bindings(inputs)?;
-        let mut state = ExecState::new(mac, self.submitted, self.reads);
-        let mut slot = 0usize;
-        for (instr, idx) in &self.ops {
-            match instr {
-                Instr::Write { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    if let Some(values) = bound {
-                        state.step_write(mac, *idx, |m| {
-                            m.write_words(dst.row(), *precision, values)
-                        })?;
-                        continue;
-                    }
-                }
-                Instr::WriteMult { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    if let Some(values) = bound {
-                        state.step_write(mac, *idx, |m| {
-                            m.write_mult_operands(dst.row(), *precision, values)
-                        })?;
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            state.step(mac, instr, *idx)?;
-        }
-        Ok(state.finish(mac, self.predicted))
+        self.execute(mac, Some(inputs))
     }
 
-    /// [`CompiledProgram::run_with_inputs`] without the per-instruction
-    /// accounting: returns just the read outputs. For callers that bill
-    /// from the activity log's totals anyway (the serving classify path),
-    /// this skips the per-instruction cycle/span bookkeeping — the last
-    /// measurable executor overhead on many-instruction programs. The
-    /// total-cycle cost-model assertion still runs.
+    /// The read outputs of [`CompiledProgram::run_with_inputs`], for
+    /// callers that bill from the activity log's totals anyway (the
+    /// serving classify path).
     ///
     /// # Errors
     ///
@@ -1067,46 +1000,63 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<Vec<Vec<u64>>, ProgError> {
+        self.run_with_inputs(mac, inputs).map(|run| run.outputs)
+    }
+
+    /// The one instruction loop behind every entry point: runs the op
+    /// array on `mac`, writing bound values in place of the compiled ones
+    /// where `inputs` supplies them, and bills each op's logged cycles to
+    /// its submitted instruction. The total is asserted against the static
+    /// cost model.
+    fn execute(
+        &self,
+        mac: &mut ImcMacro,
+        inputs: Option<&[Option<&[u64]>]>,
+    ) -> Result<ProgramRun, ProgError> {
         if *mac.config() != self.config {
             return Err(ProgError::ConfigMismatch);
         }
-        self.check_bindings(inputs)?;
-        let log_start = mac.activity().total_cycles();
+        if let Some(inputs) = inputs {
+            self.check_bindings(inputs)?;
+        }
+        let log_start = mac.activity().total_cycles() as usize;
         let mut outputs = Vec::with_capacity(self.reads);
-        let mut slot = 0usize;
+        let mut instr_cycles = vec![0u64; self.submitted];
+        let mut instr_spans = vec![log_start..log_start; self.submitted];
+        let mut bindings = inputs.unwrap_or_default().iter();
         for (instr, idx) in &self.ops {
-            let res = match instr {
-                Instr::Write { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    match bound {
-                        Some(values) => mac.write_words(dst.row(), *precision, values).map(|_| ()),
-                        None => exec_instr(instr, mac, &mut outputs),
-                    }
+            let start = mac.activity().total_cycles() as usize;
+            let bound = match instr {
+                Instr::Write { .. } | Instr::WriteMult { .. } => bindings.next().copied().flatten(),
+                _ => None,
+            };
+            let res = match (instr, bound) {
+                (Instr::Write { dst, precision, .. }, Some(values)) => {
+                    mac.write_words(dst.row(), *precision, values).map(drop)
                 }
-                Instr::WriteMult { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    match bound {
-                        Some(values) => mac
-                            .write_mult_operands(dst.row(), *precision, values)
-                            .map(|_| ()),
-                        None => exec_instr(instr, mac, &mut outputs),
-                    }
-                }
+                (Instr::WriteMult { dst, precision, .. }, Some(values)) => mac
+                    .write_mult_operands(dst.row(), *precision, values)
+                    .map(drop),
                 _ => exec_instr(instr, mac, &mut outputs),
             };
             res.map_err(|source| ProgError::Exec {
                 instr: *idx,
                 source,
             })?;
+            let end = mac.activity().total_cycles() as usize;
+            instr_cycles[*idx] = (end - start) as u64;
+            instr_spans[*idx] = start..end;
         }
-        let executed = mac.activity().total_cycles() - log_start;
+        let executed = mac.activity().total_cycles() - log_start as u64;
         assert_eq!(
             executed, self.predicted,
             "static cost model diverged from the activity log"
         );
-        Ok(outputs)
+        Ok(ProgramRun {
+            outputs,
+            instr_cycles,
+            instr_spans,
+        })
     }
 
     /// Checks a binding set against the compiled writes without touching
@@ -1291,36 +1241,6 @@ impl MacroBank {
     /// Panics if any macro's logged cycles diverge from the schedule's
     /// prediction (a `prog` bug, never a data-dependent condition).
     pub fn run_partitioned(&mut self, prog: &Program) -> Result<PartitionedRun, ProgError> {
-        self.run_partitioned_inner(prog, None)
-    }
-
-    /// [`MacroBank::run_partitioned`] with **cooperative cancellation**:
-    /// the token is checked between component executions on every macro,
-    /// so a cancelled or deadline-expired run abandons its remaining
-    /// components mid-flight (each macro finishes only the component it is
-    /// currently executing) and returns [`ProgError::Cancelled`]. The
-    /// activity logs record exactly the components that ran — partial work
-    /// is billed, never invented.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors as [`MacroBank::run_partitioned`], plus
-    /// [`ProgError::Cancelled`] whenever the token fired during the run —
-    /// including after the final component was already claimed, so a
-    /// cancelled request never masquerades as a complete one.
-    pub fn run_partitioned_cancellable(
-        &mut self,
-        prog: &Program,
-        cancel: &bpimc_stats::parallel::CancelToken,
-    ) -> Result<PartitionedRun, ProgError> {
-        self.run_partitioned_inner(prog, Some(cancel))
-    }
-
-    fn run_partitioned_inner(
-        &mut self,
-        prog: &Program,
-        cancel: Option<&bpimc_stats::parallel::CancelToken>,
-    ) -> Result<PartitionedRun, ProgError> {
         let config = *self.macros().next().expect("banks are non-empty").config();
         prog.validate(&config)?;
         let parts = prog.partition();
@@ -1328,17 +1248,10 @@ impl MacroBank {
         let bins = lpt_schedule(&costs, self.len());
         let starts: Vec<u64> = self.macros().map(|m| m.activity().total_cycles()).collect();
         let mut results = self.dispatch(|i, mac| {
-            let mut runs = Vec::new();
-            for &ci in &bins[i] {
-                // The cancellation check sits between whole components —
-                // the partitioned analogue of a claim-queue block — so a
-                // quiet token costs one atomic load per component.
-                if cancel.is_some_and(bpimc_stats::parallel::CancelToken::is_cancelled) {
-                    break;
-                }
-                runs.push((ci, parts[ci].program.run(mac)));
-            }
-            runs
+            bins[i]
+                .iter()
+                .map(|&ci| (ci, parts[ci].program.run(mac)))
+                .collect::<Vec<_>>()
         });
         let deltas: Vec<u64> = self
             .macros()
@@ -1347,8 +1260,6 @@ impl MacroBank {
             .collect();
         let mut per_part: Vec<Option<ProgramRun>> = (0..parts.len()).map(|_| None).collect();
         for (i, macro_runs) in results.drain(..).enumerate() {
-            // The cost model is asserted over the components that actually
-            // ran (all of them, unless the token fired mid-run).
             let mut predicted = 0u64;
             for (ci, run) in macro_runs {
                 predicted += costs[ci];
@@ -1358,15 +1269,6 @@ impl MacroBank {
                 deltas[i], predicted,
                 "macro {i}: partition cost model diverged from the activity log"
             );
-        }
-        // A fired token means a cancelled run even when every component
-        // happened to finish first (the token can fire after the final
-        // component is claimed): the caller asked for the work to stop, so
-        // a full result set must not masquerade as an uncancelled run.
-        if per_part.iter().any(Option::is_none)
-            || cancel.is_some_and(bpimc_stats::parallel::CancelToken::is_cancelled)
-        {
-            return Err(ProgError::Cancelled);
         }
         let mut outputs: Vec<Vec<u64>> = vec![Vec::new(); prog.read_count()];
         let mut instr_cycles = vec![0u64; prog.instrs().len()];
@@ -1386,68 +1288,6 @@ impl MacroBank {
             makespan_cycles: deltas.iter().copied().max().unwrap_or(0),
             macros_used: bins.iter().filter(|b| !b.is_empty()).count(),
         })
-    }
-}
-
-/// Per-run execution bookkeeping shared by [`Program::run`] and
-/// [`CompiledProgram::run`]: outputs, per-instruction cycle billing and
-/// activity-log spans, and the cost-model assertion at the end.
-struct ExecState {
-    log_start: usize,
-    outputs: Vec<Vec<u64>>,
-    instr_cycles: Vec<u64>,
-    instr_spans: Vec<Range<usize>>,
-}
-
-impl ExecState {
-    fn new(mac: &ImcMacro, submitted: usize, reads: usize) -> Self {
-        let log_start = mac.activity().total_cycles() as usize;
-        Self {
-            log_start,
-            outputs: Vec::with_capacity(reads),
-            instr_cycles: vec![0u64; submitted],
-            instr_spans: vec![log_start..log_start; submitted],
-        }
-    }
-
-    fn step(&mut self, mac: &mut ImcMacro, instr: &Instr, idx: usize) -> Result<(), ProgError> {
-        let start = mac.activity().total_cycles() as usize;
-        exec_instr(instr, mac, &mut self.outputs)
-            .map_err(|source| ProgError::Exec { instr: idx, source })?;
-        let end = mac.activity().total_cycles() as usize;
-        self.instr_cycles[idx] = (end - start) as u64;
-        self.instr_spans[idx] = start..end;
-        Ok(())
-    }
-
-    /// Like [`ExecState::step`] for a write whose values are bound at run
-    /// time (`run_with_inputs`): the caller supplies the macro call so the
-    /// bound slice is written without cloning it into an [`Instr`].
-    fn step_write(
-        &mut self,
-        mac: &mut ImcMacro,
-        idx: usize,
-        write: impl FnOnce(&mut ImcMacro) -> Result<u64, Error>,
-    ) -> Result<(), ProgError> {
-        let start = mac.activity().total_cycles() as usize;
-        write(mac).map_err(|source| ProgError::Exec { instr: idx, source })?;
-        let end = mac.activity().total_cycles() as usize;
-        self.instr_cycles[idx] = (end - start) as u64;
-        self.instr_spans[idx] = start..end;
-        Ok(())
-    }
-
-    fn finish(self, mac: &ImcMacro, predicted: u64) -> ProgramRun {
-        let executed = mac.activity().total_cycles() - self.log_start as u64;
-        assert_eq!(
-            executed, predicted,
-            "static cost model diverged from the activity log"
-        );
-        ProgramRun {
-            outputs: self.outputs,
-            instr_cycles: self.instr_cycles,
-            instr_spans: self.instr_spans,
-        }
     }
 }
 
@@ -2533,81 +2373,6 @@ mod tests {
         assert!(part_run.makespan_cycles < part_run.total_cycles);
         assert_eq!(part_run.makespan_cycles, prog.predicted_makespan(3));
         assert_eq!(part_run.macros_used, 3);
-    }
-
-    #[test]
-    fn run_partitioned_cancellable_completes_when_the_token_is_quiet() {
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        for k in 0..4u64 {
-            let x = b.write(p, vec![k + 1]);
-            let y = b.write(p, vec![10 * (k + 1)]);
-            let s = b.add(x, y, p);
-            b.read(s, p, 1);
-        }
-        let prog = b.finish();
-        let mut bank = MacroBank::new(2, cfg());
-        let token = bpimc_stats::parallel::CancelToken::new();
-        let run = bank.run_partitioned_cancellable(&prog, &token).unwrap();
-        assert_eq!(
-            run.outputs,
-            vec![vec![11], vec![22], vec![33], vec![44]],
-            "a quiet token changes nothing"
-        );
-        assert_eq!(run.total_cycles, bank.total_cycles());
-    }
-
-    #[test]
-    fn run_partitioned_cancelled_abandons_remaining_components() {
-        // Many independent components; a pre-fired token means no macro
-        // claims any component: the run reports Cancelled and the activity
-        // logs stay empty (partial work is real, invented work never is).
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        for k in 0..6u64 {
-            let x = b.write(p, vec![k + 1]);
-            let y = b.write(p, vec![2 * (k + 1)]);
-            let s = b.add(x, y, p);
-            b.read(s, p, 1);
-        }
-        let prog = b.finish();
-        let mut bank = MacroBank::new(2, cfg());
-        let token = bpimc_stats::parallel::CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            bank.run_partitioned_cancellable(&prog, &token),
-            Err(ProgError::Cancelled)
-        ));
-        assert_eq!(bank.total_cycles(), 0, "no component may have executed");
-        // The bank still serves: the same program completes afterwards.
-        let ok = bank.run_partitioned(&prog).unwrap();
-        assert_eq!(ok.outputs.len(), 6);
-    }
-
-    #[test]
-    fn token_fired_after_the_last_component_still_reports_cancelled() {
-        // Regression: a token that fires only once every component is
-        // already claimed fills every result slot, and the run used to
-        // return Ok from that complete result set. The deterministic
-        // distillation of "every slot filled + token fired": a component
-        // set that is complete from the start (no components at all) with a
-        // fired token. The old code returned a full (empty) Ok run here;
-        // the end-of-run token check must report Cancelled instead.
-        let prog = ProgramBuilder::new().finish();
-        let mut bank = MacroBank::new(1, cfg());
-        let quiet = bpimc_stats::parallel::CancelToken::new();
-        assert!(
-            bank.run_partitioned_cancellable(&prog, &quiet).is_ok(),
-            "a quiet token leaves the degenerate run alone"
-        );
-        let fired = bpimc_stats::parallel::CancelToken::new();
-        fired.cancel();
-        let run = bank.run_partitioned_cancellable(&prog, &fired);
-        assert!(
-            matches!(run, Err(ProgError::Cancelled)),
-            "a fired token must mark the run cancelled even though every \
-             component slot is filled, got {run:?}"
-        );
     }
 
     #[test]

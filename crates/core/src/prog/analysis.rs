@@ -2,9 +2,10 @@
 //! liveness, reaching definitions, value-range analysis, lint diagnostics
 //! and a semantics-preserving optimizer.
 //!
-//! The IR's executor already *validates* programs ([`Program::validate`])
-//! and *prices* them (the static cost model); this module adds the third
-//! leg — it *advises*. [`Dataflow`] is the shared framework: one linear
+//! The IR's compiler already *validates* programs ([`Program::validate`])
+//! and *prices* them (the static cost model that the one executor,
+//! [`CompiledProgram`](super::CompiledProgram), asserts on every run);
+//! this module adds the third leg — it *advises*. [`Dataflow`] is the shared framework: one linear
 //! pass resolves every register read to the definition that produced its
 //! value, and everything else — [`Program::lint`], [`Program::optimize`],
 //! [`Program::partition`]'s dependence components — is derived from that
@@ -16,7 +17,7 @@
 //!
 //! | Code | Severity | Meaning |
 //! |------|----------|---------|
-//! | `E001`–`E013` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (see [`ProgError::code`]). |
+//! | `E001`–`E012` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (see [`ProgError::code`]). |
 //! | `L001` | warn | Dead store: a result is overwritten before any instruction reads it. |
 //! | `L002` | warn | Unused result: a result is never read by any later instruction. |
 //! | `L003` | perf | Redundant recomputation: a multi-cycle op recomputes a value that is still resident in another row (a 1-cycle `copy` would do). |
@@ -86,7 +87,7 @@ impl fmt::Display for Severity {
 /// instruction-index span it points at, and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable diagnostic code (`E001`–`E013` for validation errors,
+    /// Stable diagnostic code (`E001`–`E012` for validation errors,
     /// `L001`–`L007` for lints; see the module docs for the table).
     pub code: String,
     /// How bad it is.
@@ -1019,8 +1020,8 @@ impl Program {
     ///   ≤ the original's (if a rewrite cannot win, the original is
     ///   returned unchanged).
     /// * **The static cost model stays exact** — the optimized program is
-    ///   an ordinary [`Program`], so [`Program::run`] still asserts
-    ///   `predicted_activity` against the execution log.
+    ///   an ordinary [`Program`], so [`Program::run`] (compile, then run)
+    ///   still asserts its predicted cycles against the execution log.
     ///
     /// The instruction *stream* may shrink (dead stores vanish, fusable
     /// `add`+`shl` pairs are materialized as explicit `add_shift`), so

@@ -216,32 +216,6 @@ impl MosParams {
             vds,
         )
     }
-
-    /// [`MosParams::id_g`] on the [`fastmath::quick`] scalar tier: the
-    /// identical smoothed alpha-power law (one shared kernel body,
-    /// parameterized over the math tier) evaluated with shorter
-    /// polynomials (~1e-8 relative error — far below the model's own
-    /// fidelity), for scalar-only transient chains where the full-degree
-    /// shared kernels cost more than they buy. **Not** bit-identical to
-    /// [`MosParams::id_g`] — never use where results must match the batch
-    /// engine exactly.
-    #[inline(always)]
-    pub fn id_g_quick(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        mos_id_g_with(
-            fastmath::quick::softplus,
-            fastmath::quick::powf,
-            fastmath::quick::tanh_pos,
-            self.vt,
-            self.phi,
-            self.keff,
-            self.alpha,
-            self.lambda,
-            self.sat_frac,
-            self.vdsat_min,
-            vgs,
-            vds,
-        )
-    }
 }
 
 /// Borrowed per-field parameter lanes for a run of device instances — the
@@ -338,47 +312,11 @@ fn mos_id_g(
     vgs: f64,
     vds: f64,
 ) -> (f64, f64) {
-    mos_id_g_with(
-        fastmath::softplus,
-        fastmath::powf,
-        fastmath::tanh_pos,
-        vt,
-        phi,
-        keff,
-        alpha,
-        lambda,
-        sat_frac,
-        vdsat_min,
-        vgs,
-        vds,
-    )
-}
-
-/// The kernel body itself, parameterized over the math tier's `softplus`,
-/// `powf` and `tanh_pos` so [`mos_id_g`] (shared full-precision kernels)
-/// and [`MosParams::id_g_quick`] (the [`fastmath::quick`] tier) can never
-/// drift apart in device physics — only in polynomial degree.
-#[allow(clippy::too_many_arguments)] // flattened on purpose: this is the SoA lane kernel
-#[inline(always)]
-fn mos_id_g_with(
-    softplus: impl Fn(f64) -> f64,
-    powf: impl Fn(f64, f64) -> f64,
-    tanh_pos: impl Fn(f64) -> f64,
-    vt: f64,
-    phi: f64,
-    keff: f64,
-    alpha: f64,
-    lambda: f64,
-    sat_frac: f64,
-    vdsat_min: f64,
-    vgs: f64,
-    vds: f64,
-) -> (f64, f64) {
     // Smooth overdrive: -> (vgs - vt) in strong inversion, exponential below.
-    let veff = phi * softplus((vgs - vt) / phi);
-    let idsat = keff * powf(veff, alpha);
+    let veff = phi * fastmath::softplus((vgs - vt) / phi);
+    let idsat = keff * fastmath::powf(veff, alpha);
     let vdsat = (sat_frac * veff).max(vdsat_min);
-    let th = tanh_pos(vds / vdsat);
+    let th = fastmath::tanh_pos(vds / vdsat);
     let clm = 1.0 + lambda * vds;
     // Zero drain bias (or a mis-oriented caller) carries no current; the
     // multiplicative mask keeps the kernel branch-free.

@@ -10,9 +10,13 @@ use bpimc_core::{
     StoredTarget,
 };
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
+
+/// Longest a client holding a durable session waits, when it lets go of a
+/// connection, for the server to detach the session from it.
+const HAND_BACK_WAIT: Duration = Duration::from_secs(2);
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -234,8 +238,8 @@ impl Client {
     /// Without a durable session, a new connection is a **new session**:
     /// the loaded model, stored programs and activity account do not
     /// carry over. With one ([`Client::open_session`]), the session is
-    /// resumed by token on the new connection before this returns, so
-    /// all of that state carries over intact.
+    /// handed back on the old connection and resumed by token on the new
+    /// one before this returns, so all of that state carries over intact.
     ///
     /// # Errors
     ///
@@ -244,6 +248,7 @@ impl Client {
     /// the server's error when the held token no longer resumes
     /// (`session_expired` after the TTL ran out).
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
+        self.hand_back();
         let (reader, writer) = Self::dial(self.addr)?;
         self.reader = reader;
         self.writer = writer;
@@ -252,6 +257,31 @@ impl Client {
             self.resume_attached()?;
         }
         Ok(())
+    }
+
+    /// Lets go of the current connection's durable session, if any, so a
+    /// resume from another connection is never refused as busy by this
+    /// one: shuts down the write half, then discards responses until the
+    /// server closes its end. The server closes only after its reader has
+    /// seen the end of the request stream and detached the session, so
+    /// once this returns the session is free (bounded by
+    /// [`HAND_BACK_WAIT`] against a server that never closes).
+    fn hand_back(&mut self) {
+        if self.token.is_none() || self.writer.shutdown(Shutdown::Write).is_err() {
+            return;
+        }
+        let deadline = Instant::now() + HAND_BACK_WAIT;
+        let mut sink = [0u8; 4096];
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.reader.get_ref().set_read_timeout(Some(left)).is_err() {
+                return;
+            }
+            match self.reader.read(&mut sink) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => {}
+            }
+        }
     }
 
     /// Stamps the next idempotency seq onto `body`'s request, when one
@@ -769,6 +799,15 @@ impl Client {
             ResponseBody::Ok => Ok(()),
             other => Err(protocol_kind("ok", &other)),
         }
+    }
+}
+
+impl Drop for Client {
+    /// Hands a durable session back before the connection closes (see
+    /// [`Client::hand_back`]), so drop-then-resume never races the
+    /// server's detach.
+    fn drop(&mut self) {
+        self.hand_back();
     }
 }
 

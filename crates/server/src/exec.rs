@@ -3,7 +3,9 @@
 //!
 //! Every arithmetic request — `dot`, the lane-wise ops, `classify`'s dots
 //! and `exec_program` itself — is lowered to a [`Program`] and run by the
-//! single program executor ([`Program::run`]), so there is exactly one
+//! single program executor, [`CompiledProgram`]'s instruction loop
+//! (reached through [`Program::run`], or directly for the precompiled
+//! classify template and stored programs), so there is exactly one
 //! execution path from the wire to the array.
 
 use crate::fault::ComputeFault;
@@ -45,9 +47,10 @@ pub(crate) struct ComputeJob {
     pub stored: Option<Arc<CompiledProgram>>,
     /// The request's deadline, re-checked when the job starts: a request
     /// whose deadline passed while earlier batch work ran is abandoned
-    /// before touching any array state (the mid-execution half of
-    /// cooperative cancellation; the in-queue half lives in the
-    /// dispatcher).
+    /// before touching any array state. The dispatcher sheds requests
+    /// whose deadline passed while they were still queued; this is the
+    /// second and last check, since a started job always runs to
+    /// completion.
     pub deadline: Option<Instant>,
     /// Guardrail: longest accepted `exec_program` instruction stream.
     pub max_program_instrs: Option<usize>,

@@ -1,13 +1,13 @@
 //! Deterministic fork-join dispatch over indexed work.
 //!
 //! The workspace's batch executors (the `MacroBank` in `bpimc-core`, the
-//! Monte-Carlo driver in `bpimc-circuit`) all share this primitive: split
-//! `n` independent, index-addressed jobs into contiguous chunks, run the
-//! chunks on a small pool of **persistent** worker threads, and return
-//! results **in job order** regardless of scheduling. Persistent workers
-//! matter: spawning OS threads per batch costs hundreds of microseconds,
-//! which would swamp sub-millisecond batches; the pool is spawned once and
-//! re-used for the life of the process.
+//! Monte-Carlo fan-out in `bpimc-circuit`) all share this primitive: the
+//! caller and a small pool of **persistent** worker threads pull contiguous
+//! blocks of `n` independent, index-addressed jobs from a shared claim
+//! queue, and results come back **in job order** regardless of scheduling.
+//! Persistent workers matter: spawning OS threads per batch costs hundreds
+//! of microseconds, which would swamp sub-millisecond batches; the pool is
+//! spawned once and re-used for the life of the process.
 //!
 //! Determinism comes from the jobs themselves being index-seeded; this
 //! module only guarantees order-stable collection.
@@ -16,7 +16,7 @@
 //! offline, so this is a dependency-free implementation on `std::sync`
 //! primitives.
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize};
+use crate::sync::atomic::AtomicUsize;
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
@@ -24,7 +24,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 /// A job that panicked inside a parallel batch.
 ///
@@ -59,74 +58,6 @@ impl fmt::Display for JobPanic {
 }
 
 impl std::error::Error for JobPanic {}
-
-/// A cooperative cancellation signal for claim-queue batches.
-///
-/// Cheap to clone (an `Arc` around one atomic) and checkable from any
-/// thread. A token fires either explicitly ([`CancelToken::cancel`]) or by
-/// passing its construction deadline ([`CancelToken::with_deadline`]) —
-/// after which [`par_queue_try_map_cancellable`] participants stop
-/// **claiming new blocks**; the block each lane is currently executing
-/// still completes. Cancellation granularity is therefore one claim-queue
-/// block per lane, with zero per-element overhead.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-#[derive(Debug)]
-struct CancelInner {
-    fired: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-impl Default for CancelInner {
-    fn default() -> Self {
-        Self {
-            fired: AtomicBool::named("claim.cancel", false),
-            deadline: None,
-        }
-    }
-}
-
-impl CancelToken {
-    /// A token that fires only on an explicit [`CancelToken::cancel`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that fires at `deadline` (or earlier, if cancelled).
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self {
-            inner: Arc::new(CancelInner {
-                fired: AtomicBool::named("claim.cancel", false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
-    /// Fires the token. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.inner.fired.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired (explicitly or by deadline). Once true,
-    /// stays true. The deadline is latched into the flag on first expiry,
-    /// so repeated checks after expiry cost one atomic load, not a clock
-    /// read.
-    pub fn is_cancelled(&self) -> bool {
-        if self.inner.fired.load(Ordering::Acquire) {
-            return true;
-        }
-        match self.inner.deadline {
-            Some(d) if Instant::now() >= d => {
-                self.inner.fired.store(true, Ordering::Release);
-                true
-            }
-            _ => false,
-        }
-    }
-}
 
 /// Locks a mutex, recovering from poisoning.
 ///
@@ -297,59 +228,16 @@ fn run_tasks<'env>(mut tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
 }
 
 /// Runs `f(i)` for every `i in 0..n` across the worker pool and returns the
-/// results in index order.
+/// results in index order, with **claim-queue load balancing**: the caller
+/// and the pool workers pull contiguous index blocks from a shared queue.
 ///
-/// `f` is called exactly once per index. With one job (or one core) the
-/// work runs inline without dispatch.
-///
-/// # Examples
-///
-/// ```
-/// let squares = bpimc_stats::parallel::par_indexed_map(8, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn par_indexed_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let lanes = worker_count(n);
-    if lanes <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(lanes);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(c, slot)| {
-            Box::new(move || {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    *out = Some(f(c * chunk + j));
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_tasks(tasks);
-    results
-        .into_iter()
-        .map(|x| x.expect("all jobs filled"))
-        .collect()
-}
-
-/// [`par_indexed_map`] with **claim-queue load balancing**: the caller and
-/// the pool workers pull contiguous index blocks from a shared queue
-/// instead of receiving one fixed chunk each.
-///
-/// Prefer this over [`par_indexed_map`] when per-index cost varies — a
-/// Monte-Carlo sweep whose adaptive transient solves take different step
-/// counts per sample, say. Static chunking makes the whole batch wait for
-/// whichever lane drew the slow samples; claimed blocks keep every lane
-/// busy to the end. Blocks are sized by [`par_queue_try_map`]'s heuristic
+/// `f` is called exactly once per index. Per-index cost may vary freely —
+/// a Monte-Carlo sweep whose adaptive transient solves take different step
+/// counts per sample, say: claimed blocks keep every lane busy to the end
+/// instead of making the batch wait for whichever lane drew the slow
+/// samples. Nested calls from inside a job run sequentially, and a
+/// panicking job re-raises its message on the caller once the batch is
+/// done (see [`par_queue_map`]). Blocks are sized by [`par_queue_try_map`]'s heuristic
 /// (`n / (lanes * 16)`, clamped to `[1, 256]`), which for the workspace's
 /// millisecond-scale jobs keeps each claim well above the ~1 ms of work
 /// that makes a pool hand-off worthwhile on this host (see the module
@@ -374,19 +262,16 @@ where
     par_queue_map(&mut states, &jobs, |_, &i| f(i))
 }
 
-/// The claim-queue protocol itself, factored out of [`par_queue_run`] so
-/// the concurrency models (`sync::models`) can explore exactly the
-/// production claim/cancel/drain logic under the deterministic scheduler.
+/// The claim-queue protocol itself, factored out of [`par_queue_try_map`]
+/// so the concurrency models (`sync::models`) can explore exactly the
+/// production claim/drain logic under the deterministic scheduler.
 ///
 /// Invariants the protocol maintains (and the models assert):
 ///
-/// * every index in `0..len` is claimed by exactly one participant, or by
-///   nobody once the cancel token fires;
+/// * every index in `0..len` is claimed by exactly one participant;
 /// * `active` is raised before a worker touches a claimed block and
 ///   lowered after, so `active == 0` with the queue exhausted means no
-///   worker will ever touch batch memory again;
-/// * after the token fires, each lane claims at most the one block it is
-///   currently executing — cancellation granularity is one block per lane.
+///   worker will ever touch batch memory again.
 pub(crate) struct ClaimQueue {
     /// Next unclaimed job index.
     next: AtomicUsize,
@@ -396,34 +281,23 @@ pub(crate) struct ClaimQueue {
     len: usize,
     /// Contiguous indices handed out per claim.
     block: usize,
-    /// Checked between block claims; when fired, no further blocks are
-    /// claimed and unclaimed jobs stay unexecuted (`None` result slots).
-    cancel: Option<CancelToken>,
 }
 
 impl ClaimQueue {
-    pub(crate) fn new(len: usize, block: usize, cancel: Option<CancelToken>) -> Self {
+    pub(crate) fn new(len: usize, block: usize) -> Self {
         Self {
             next: AtomicUsize::named("claim.next", 0),
             active: AtomicUsize::named("claim.active", 0),
             len,
             block: block.max(1),
-            cancel,
         }
-    }
-
-    pub(crate) fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// A worker's claim: raises `active` *before* taking a block so an
     /// observer can never see "queue empty, nobody active" while jobs are
     /// still being executed; lowers it again (and returns `None`) when the
-    /// queue is exhausted or the token has fired.
+    /// queue is exhausted.
     pub(crate) fn worker_claim(&self) -> Option<Range<usize>> {
-        if self.cancelled() {
-            return None;
-        }
         self.active.fetch_add(1, Ordering::AcqRel);
         let start = self.next.fetch_add(self.block, Ordering::AcqRel);
         if start >= self.len {
@@ -442,9 +316,6 @@ impl ClaimQueue {
     /// The caller's claim: no `active` bookkeeping — the caller waits for
     /// the workers, never for itself.
     pub(crate) fn caller_claim(&self) -> Option<Range<usize>> {
-        if self.cancelled() {
-            return None;
-        }
         let start = self.next.fetch_add(self.block, Ordering::AcqRel);
         if start >= self.len {
             return None;
@@ -537,125 +408,43 @@ where
     T: Send,
     F: Fn(&mut S, &J) -> T + Sync,
 {
-    par_queue_run(states, jobs, f, None)
-        .results
-        .into_iter()
-        .map(|x| x.expect("uncancellable batches fill every slot"))
-        .collect()
-}
-
-/// Outcome of a cancellable claim-queue batch.
-///
-/// `cancelled` reflects the token's state when the batch **finished**, not
-/// when the last block was claimed: a token that fires after the final
-/// block is already claimed (so every slot is `Some`) still yields
-/// `cancelled == true`. Callers deciding "did this request complete or was
-/// it cut short?" must consult the flag, never infer it from `None` slots.
-#[derive(Debug, Clone)]
-pub struct CancellableBatch<T> {
-    /// Per-job outcomes in job order; `None` for jobs never claimed after
-    /// the token fired.
-    pub results: Vec<Option<Result<T, JobPanic>>>,
-    /// Whether the cancel token had fired by the time the batch finished.
-    pub cancelled: bool,
-}
-
-/// [`par_queue_try_map`] with **cooperative cancellation**: the token is
-/// checked between claim-queue block claims (never per element), and once
-/// it fires — explicitly or by deadline — no participant claims another
-/// block. Jobs never claimed return `None`; each lane's in-flight block
-/// still completes, so after cancellation at most one extra block per lane
-/// executes.
-///
-/// # Examples
-///
-/// ```
-/// use bpimc_stats::parallel::{par_queue_try_map_cancellable, CancelToken};
-///
-/// let token = CancelToken::new();
-/// token.cancel(); // fired before the batch: nothing runs
-/// let mut states = vec![(); 2];
-/// let out = par_queue_try_map_cancellable(&mut states, &[1u32, 2, 3], |_, &j| j, &token);
-/// assert!(out.cancelled);
-/// assert!(out.results.iter().all(Option::is_none));
-/// ```
-pub fn par_queue_try_map_cancellable<S, J, T, F>(
-    states: &mut [S],
-    jobs: &[J],
-    f: F,
-    cancel: &CancelToken,
-) -> CancellableBatch<T>
-where
-    S: Send,
-    J: Sync,
-    T: Send,
-    F: Fn(&mut S, &J) -> T + Sync,
-{
-    par_queue_run(states, jobs, f, Some(cancel))
-}
-
-fn par_queue_run<S, J, T, F>(
-    states: &mut [S],
-    jobs: &[J],
-    f: F,
-    cancel: Option<&CancelToken>,
-) -> CancellableBatch<T>
-where
-    S: Send,
-    J: Sync,
-    T: Send,
-    F: Fn(&mut S, &J) -> T + Sync,
-{
-    // The cancelled flag is read when the batch FINISHES: a token raised
-    // after the final block was claimed must still mark the batch
-    // cancelled even though every slot carries a result.
-    let finish = |results: Vec<Option<Result<T, JobPanic>>>| CancellableBatch {
-        results,
-        cancelled: cancel.is_some_and(CancelToken::is_cancelled),
-    };
     let n = jobs.len();
     if n == 0 {
-        return finish(Vec::new());
+        return Vec::new();
     }
     assert!(!states.is_empty(), "need at least one state slot");
     let lanes = worker_count(n).min(states.len());
     let nested = IS_WORKER.with(|w| w.get());
     if lanes <= 1 || nested {
         let s0 = &mut states[0];
-        let results = jobs
+        return jobs
             .iter()
             .map(|j| {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return None;
-                }
-                Some(
-                    catch_unwind(AssertUnwindSafe(|| f(s0, j)))
-                        .map_err(|p| JobPanic::from_payload(&*p)),
-                )
+                catch_unwind(AssertUnwindSafe(|| f(s0, j))).map_err(|p| JobPanic::from_payload(&*p))
             })
             .collect();
-        return finish(results);
     }
 
-    let mut results: Vec<Option<Result<T, JobPanic>>> = (0..n).map(|_| None).collect();
+    // Every slot is written exactly once (by whichever participant claimed
+    // its index) before the length is set below.
+    let mut results: Vec<Result<T, JobPanic>> = Vec::with_capacity(n);
     // Claim in blocks: contended atomic RMWs cost ~0.5 us on virtualized
     // hosts, so per-job claiming would swamp fine-grained jobs. Blocks keep
     // the claim overhead at a fraction of a percent while still giving
     // lanes * 16 units of load-balancing granularity.
     let block = (n / (lanes * 16)).clamp(1, 256);
     let shared = Arc::new(QueueShared {
-        queue: ClaimQueue::new(n, block, cancel.cloned()),
+        queue: ClaimQueue::new(n, block),
         caller: std::thread::current(),
     });
 
     // Raw-pointer captures: a worker that wakes only after this call has
     // returned must not hold live references into our stack. It re-creates
-    // references ONLY after winning a claim, which the wait loop below
-    // guarantees cannot happen once we have returned: the caller leaves
-    // either with the queue exhausted (`next` past `len`) or with the
-    // cancel token fired — and a fired token is sticky, so a late-waking
-    // worker observes it before claiming and exits without touching the
-    // pointers.
+    // references ONLY after winning a claim, which cannot happen once we
+    // have returned: the caller leaves only with the queue exhausted
+    // (`next` past `len`, so every later claim fails) and no claim still
+    // active, and a late-waking worker's first claim therefore fails
+    // without touching the pointers.
     let jobs_ptr = jobs.as_ptr() as usize;
     let f_ptr = &f as *const F as usize;
     let res_ptr = results.as_mut_ptr() as usize;
@@ -666,20 +455,17 @@ where
         let state_ptr = state as *mut S as usize;
         let sh = shared.clone();
         let task: Task = Box::new(move || loop {
-            // The cancellation check inside `worker_claim` sits between
-            // block claims: one atomic load per block, zero per-element
-            // overhead.
             let Some(claim) = sh.queue.worker_claim() else {
                 sh.caller.unpark();
                 break;
             };
             // SAFETY: the claimed block is unique, so the job reads and the
-            // result slot writes are unaliased; the caller cannot have
-            // returned (it waits for `active` to drain and `next` to pass
-            // `len`), so the pointers are live. Panics are caught PER JOB:
-            // a faulty job records a `JobPanic` in its own slot and the
-            // loop continues with the block's remaining jobs, so every slot
-            // is always filled.
+            // result slot writes are unaliased and every slot is written
+            // once; the caller cannot have returned (it waits for the
+            // queue to be exhausted and `active` to drain), so the pointers
+            // are live. Panics are caught PER JOB: a faulty job records a
+            // `JobPanic` in its own slot and the loop continues with the
+            // block's remaining jobs, so every claimed slot is filled.
             unsafe {
                 let f = &*(f_ptr as *const F);
                 for i in claim {
@@ -687,7 +473,7 @@ where
                     let state = &mut *(state_ptr as *mut S);
                     let out = catch_unwind(AssertUnwindSafe(|| f(state, job)))
                         .map_err(|p| JobPanic::from_payload(&*p));
-                    *(res_ptr as *mut Option<Result<T, JobPanic>>).add(i) = Some(out);
+                    (res_ptr as *mut Result<T, JobPanic>).add(i).write(out);
                 }
             }
             sh.queue.worker_done();
@@ -707,7 +493,7 @@ where
                 .map_err(|p| JobPanic::from_payload(&*p));
             // SAFETY: the claimed block is unique across participants.
             unsafe {
-                *(res_ptr as *mut Option<Result<T, JobPanic>>).add(i) = Some(out);
+                (res_ptr as *mut Result<T, JobPanic>).add(i).write(out);
             }
         }
     }
@@ -720,7 +506,10 @@ where
             std::thread::park_timeout(std::time::Duration::from_millis(1));
         }
     }
-    finish(results)
+    // SAFETY: the queue is exhausted, so every index in `0..n` was claimed,
+    // and no claim is active, so every claimed slot has been written.
+    unsafe { results.set_len(n) };
+    results
 }
 
 /// Runs `f(i, &mut state[i])` for every `i`, mutating each state slot on
@@ -772,14 +561,14 @@ mod tests {
 
     #[test]
     fn results_are_in_index_order() {
-        let out = par_indexed_map(257, |i| i * 3);
+        let out = par_claim_indexed_map(257, |i| i * 3);
         assert_eq!(out, (0..257).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = par_indexed_map(100, |i| {
+        let out = par_claim_indexed_map(100, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -789,7 +578,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<usize> = par_indexed_map(0, |i| i);
+        let out: Vec<usize> = par_claim_indexed_map(0, |i| i);
         assert!(out.is_empty());
     }
 
@@ -823,7 +612,7 @@ mod tests {
         // thread spawns, milliseconds with the persistent pool.
         let mut total = 0usize;
         for round in 0..2000 {
-            let out = par_indexed_map(4, |i| i + round);
+            let out = par_claim_indexed_map(4, |i| i + round);
             total += out.iter().sum::<usize>();
         }
         assert!(total > 0);
@@ -831,18 +620,26 @@ mod tests {
 
     #[test]
     fn nested_calls_degrade_to_sequential() {
-        let out = par_indexed_map(4, |i| {
-            let inner = par_indexed_map(3, move |j| i * 10 + j);
-            inner.iter().sum::<usize>()
+        // A nested call from a pool worker must run inline on that worker
+        // (dispatching to the busy pool could deadlock it); the nested
+        // state map covers the fork-join path the same way.
+        let out = par_claim_indexed_map(4, |i| {
+            let inner = par_claim_indexed_map(3, move |j| i * 10 + j);
+            let mut states = vec![0usize; 2];
+            let forked = par_state_map(&mut states, |k, s| {
+                *s = k;
+                k + i
+            });
+            inner.iter().sum::<usize>() + forked.iter().sum::<usize>()
         });
         assert_eq!(out.len(), 4);
-        assert_eq!(out[1], 10 + 11 + 12);
+        assert_eq!(out[1], (10 + 11 + 12) + (1 + 2));
     }
 
     #[test]
     fn panics_propagate_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
-            par_indexed_map(8, |i| {
+            par_claim_indexed_map(8, |i| {
                 if i == 5 {
                     panic!("boom");
                 }
@@ -850,6 +647,16 @@ mod tests {
             })
         });
         assert!(result.is_err());
+        let forked = std::panic::catch_unwind(|| {
+            let mut states = vec![(); 4];
+            par_state_map(&mut states, |i, _| {
+                if i == 2 {
+                    panic!("boom");
+                }
+                i
+            })
+        });
+        assert!(forked.is_err());
     }
 
     #[test]
@@ -891,8 +698,8 @@ mod tests {
         for round in 0..20 {
             let ok = par_queue_map(&mut states, &jobs, |_, &j| j + round);
             assert_eq!(ok[10], 10 + round);
-            let chunked = par_indexed_map(32, |i| i * i);
-            assert_eq!(chunked[5], 25);
+            let claimed = par_claim_indexed_map(32, |i| i * i);
+            assert_eq!(claimed[5], 25);
         }
     }
 
@@ -913,181 +720,6 @@ mod tests {
             .expect("message payload")
             .clone();
         assert!(msg.contains("specific failure detail"), "{msg}");
-    }
-
-    #[test]
-    fn cancellable_map_without_firing_completes_everything() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..150).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(&mut states, &jobs, |_, &j| j * 2, &token);
-        assert!(!out.cancelled);
-        assert_eq!(out.results.len(), 150);
-        for (j, r) in out.results.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("not cancelled").as_ref().unwrap(), j * 2);
-        }
-    }
-
-    #[test]
-    fn pre_fired_token_abandons_the_whole_batch() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        token.cancel();
-        let calls = AtomicUsize::new(0);
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                j
-            },
-            &token,
-        );
-        assert!(out.cancelled);
-        assert_eq!(out.results.len(), 64);
-        assert!(out.results.iter().all(Option::is_none));
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn mid_batch_cancellation_stops_within_one_block_per_lane() {
-        // 64 jobs with <=64 states gives block size 1; job 10 fires the
-        // token from inside the batch. Jobs run ~1 ms each, so the cancel
-        // store is visible to every lane well before its next claim check:
-        // once the token fires, each lane may finish only the one block it
-        // already holds. Executed jobs are therefore bounded by the claims
-        // issued up to job 10 plus one in-flight block per lane.
-        let mut states = vec![(); 8];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        let calls = AtomicUsize::new(0);
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                if j == 10 {
-                    token.cancel();
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                j
-            },
-            &token,
-        );
-        let lanes = worker_count(jobs.len()).min(8);
-        let executed = out.results.iter().filter(|r| r.is_some()).count();
-        assert!(out.cancelled);
-        assert_eq!(executed, calls.load(Ordering::Relaxed));
-        assert!(
-            executed <= 11 + lanes,
-            "cancellation leaked past one block per lane: {executed} of 64 ran ({lanes} lanes)"
-        );
-        // Claims are handed out in index order and a claimed block always
-        // executes, so everything up to the cancelling job still ran.
-        assert!(
-            out.results[..11].iter().all(Option::is_some),
-            "pre-cancel jobs ran"
-        );
-    }
-
-    #[test]
-    fn token_fired_by_the_final_job_still_marks_the_batch_cancelled() {
-        // Regression: a token raised after the final claim-queue block is
-        // claimed used to be invisible — every slot came back `Some`, so
-        // the batch looked complete. The `cancelled` flag is read at batch
-        // END precisely so this cannot happen. Single state slot forces the
-        // sequential path, making the schedule deterministic.
-        let mut states = vec![(); 1];
-        let jobs: Vec<usize> = (0..8).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == 7 {
-                    token.cancel(); // fires while executing the LAST job
-                }
-                j
-            },
-            &token,
-        );
-        assert!(
-            out.results.iter().all(Option::is_some),
-            "every job ran: the token fired after the last claim"
-        );
-        assert!(
-            out.cancelled,
-            "a full result set must still be marked cancelled"
-        );
-    }
-
-    #[test]
-    fn token_fired_by_the_final_job_is_seen_by_the_parallel_path() {
-        // Same regression through the multi-lane path: claims are handed
-        // out in index order, so by the time the last job executes every
-        // block is claimed and will complete — all slots `Some`, flag set.
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        let last = jobs.len() - 1;
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == last {
-                    token.cancel();
-                }
-                j
-            },
-            &token,
-        );
-        assert!(out.cancelled, "late-firing token must be reported");
-        assert!(
-            out.results[last].is_some(),
-            "the firing job itself completed"
-        );
-    }
-
-    #[test]
-    fn deadline_token_fires_by_itself() {
-        let token = CancelToken::with_deadline(
-            std::time::Instant::now() + std::time::Duration::from_millis(20),
-        );
-        assert!(!token.is_cancelled());
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(token.is_cancelled());
-        // Latched: stays fired.
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn cancelled_batches_keep_panic_containment() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..40).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == 3 {
-                    panic!("early fault");
-                }
-                if j == 20 {
-                    token.cancel();
-                }
-                j
-            },
-            &token,
-        );
-        let fault = out.results[3]
-            .as_ref()
-            .expect("job 3 ran before the cancel");
-        assert!(fault.as_ref().unwrap_err().message.contains("early fault"));
-        assert!(out.cancelled);
-        // The pool still serves later batches.
-        let ok = par_queue_map(&mut states, &jobs, |_, &j| j + 1);
-        assert_eq!(ok[5], 6);
     }
 
     #[test]
