@@ -7,8 +7,9 @@
 //! Rows of up to [`BitRow::INLINE_COLS`] columns are stored inline (no heap
 //! allocation), so the limb-parallel engine's temporaries are free for the
 //! paper's 128-column macro. [`LaneMasks`] provides the fused lane-segmented
-//! arithmetic (add, shift, select) that the column-peripheral models build
-//! their single-cycle row operations on: one `u64` op covers 64 columns.
+//! arithmetic (add, shift, multiplication step) that the column-peripheral
+//! models and the macro executor build their single-cycle row operations
+//! on: one `u64` op covers 64 columns.
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
@@ -562,16 +563,12 @@ impl LaneMasks {
         assert_eq!(b.width(), self.cols, "row width mismatch");
         let mut sum = BitRow::zeros(self.cols);
         let mut cout = BitRow::zeros(self.cols);
-        lane_add_limbs(
-            a.limbs(),
-            b.limbs(),
-            carry_in,
-            self.msb.limbs(),
-            self.lsb.limbs(),
-            self.active.limbs(),
-            sum.limbs_mut(),
-            cout.limbs_mut(),
-        );
+        let (la, lb) = (a.limbs(), b.limbs());
+        let (lm, ll, lact) = (self.msb.limbs(), self.lsb.limbs(), self.active.limbs());
+        let mut adder = LaneAdder::new(carry_in);
+        for (i, (s, c)) in sum.limbs_mut().iter_mut().zip(cout.limbs_mut()).enumerate() {
+            (*s, *c) = adder.limb(la[i], lb[i], lm[i], ll[i], lact[i]);
+        }
         (sum, cout)
     }
 
@@ -580,46 +577,58 @@ impl LaneMasks {
     /// within each lane `A + B = (A XOR B) + ((A AND B) << 1)` with the
     /// lane-MSB AND bit contributing directly to the carry-out.
     ///
-    /// Returns `(sum, cout)` like [`LaneMasks::lane_add`]. Costs a few
-    /// limb passes (XOR/shift extraction, the lane add, the MSB carry
-    /// fix-up) — still O(limbs), with inline rows allocation-free.
+    /// Returns `(sum, cout)` like [`LaneMasks::lane_add`], in one fused pass
+    /// over the limbs (inline rows stay allocation-free).
     pub fn lane_add_from_readout(
         &self,
         and: &BitRow,
         nor: &BitRow,
         carry_in: bool,
     ) -> (BitRow, BitRow) {
+        let mut sum = BitRow::zeros(self.cols);
+        let mut cout = BitRow::zeros(self.cols);
+        self.readout_add_limbs(and, nor, carry_in, sum.limbs_mut(), Some(cout.limbs_mut()));
+        (sum, cout)
+    }
+
+    /// The sum half of [`LaneMasks::lane_add_from_readout`]: the same fused
+    /// pass, with no carry-out row built. This is what an ADD, SUB or
+    /// add-and-shift writes back.
+    pub fn lane_sum_from_readout(&self, and: &BitRow, nor: &BitRow, carry_in: bool) -> BitRow {
+        let mut sum = BitRow::zeros(self.cols);
+        self.readout_add_limbs(and, nor, carry_in, sum.limbs_mut(), None);
+        sum
+    }
+
+    /// The fused limb loop behind the readout adders: per limb, rebuild
+    /// `A XOR B` and the in-lane `(A AND B) << 1` from the SA outputs, add
+    /// them lane-wise, and (when asked) fold the lane-MSB AND bit — weight
+    /// `2^P`, a direct carry-out the in-lane shift dropped — into `cout`.
+    fn readout_add_limbs(
+        &self,
+        and: &BitRow,
+        nor: &BitRow,
+        carry_in: bool,
+        ls: &mut [u64],
+        mut lc: Option<&mut [u64]>,
+    ) {
         assert_eq!(and.width(), self.cols, "row width mismatch");
         assert_eq!(nor.width(), self.cols, "row width mismatch");
-        let mut xor = BitRow::zeros(self.cols);
-        let mut sh = BitRow::zeros(self.cols);
-        {
-            let (la, ln) = (and.limbs(), nor.limbs());
-            let (ll, lact) = (self.lsb.limbs(), self.active.limbs());
-            let lx = xor.limbs_mut();
-            let mut shc = 0u64;
-            for (i, x) in lx.iter_mut().enumerate() {
-                *x = !la[i] & !ln[i] & lact[i];
-            }
-            let lsh = sh.limbs_mut();
-            for (i, s) in lsh.iter_mut().enumerate() {
-                // (AND << 1) within lanes: lane LSBs cleared, idle cleared.
-                *s = ((and.limbs()[i] << 1) | shc) & !ll[i] & lact[i];
-                shc = and.limbs()[i] >> 63;
+        let (la, ln) = (and.limbs(), nor.limbs());
+        let (lm, ll, lact) = (self.msb.limbs(), self.lsb.limbs(), self.active.limbs());
+        let mut adder = LaneAdder::new(carry_in);
+        let mut shc = 0u64;
+        for (i, s) in ls.iter_mut().enumerate() {
+            let xor = !la[i] & !ln[i] & lact[i];
+            // (AND << 1) within lanes: lane LSBs cleared, idle cleared.
+            let sh = ((la[i] << 1) | shc) & !ll[i] & lact[i];
+            shc = la[i] >> 63;
+            let (sum, cout) = adder.limb(xor, sh, lm[i], ll[i], lact[i]);
+            *s = sum;
+            if let Some(lc) = lc.as_deref_mut() {
+                lc[i] = cout | (la[i] & lm[i]);
             }
         }
-        let (sum, mut cout) = self.lane_add(&xor, &sh, carry_in);
-        {
-            // The AND bit at each lane MSB has weight 2^P: a direct
-            // carry-out the in-lane shift dropped.
-            let la = and.limbs();
-            let lm = self.msb.limbs();
-            let lc = cout.limbs_mut();
-            for (i, c) in lc.iter_mut().enumerate() {
-                *c |= la[i] & lm[i];
-            }
-        }
-        (sum, cout)
     }
 
     /// Per-lane logical left shift by one: every column takes its right
@@ -638,95 +647,130 @@ impl LaneMasks {
         out
     }
 
-    /// The fused mux-and-shift a multiplication step performs: per column,
-    /// pick `on_true` where `mask` is set, else `on_false`, then (unless
-    /// `final_step`) shift the selection left by one within each lane.
-    pub fn select_shl1(
-        &self,
-        mask: &BitRow,
-        on_true: &BitRow,
-        on_false: &BitRow,
-        final_step: bool,
-    ) -> BitRow {
-        assert_eq!(mask.width(), self.cols, "row width mismatch");
-        assert_eq!(on_true.width(), self.cols, "row width mismatch");
-        assert_eq!(on_false.width(), self.cols, "row width mismatch");
-        let mut out = BitRow::zeros(self.cols);
-        let (lmsk, lt, lf) = (mask.limbs(), on_true.limbs(), on_false.limbs());
-        let (ll, lact) = (self.lsb.limbs(), self.active.limbs());
-        let lo = out.limbs_mut();
-        let mut carry = 0u64;
-        for i in 0..lt.len() {
-            let sel = (lt[i] & lmsk[i]) | (lf[i] & !lmsk[i]);
-            if final_step {
-                lo[i] = sel & lact[i];
-            } else {
-                lo[i] = ((sel << 1) | carry) & !ll[i] & lact[i];
-                carry = sel >> 63;
-            }
-        }
-        out
-    }
-
-    /// Expands per-lane bits into whole-lane masks: lane `i` of the result
-    /// is all-ones when `lane_bits[i]` is set (the row-wide image of the
-    /// multiplier FF MUX selects).
+    /// One add-and-shift step of the paper's multiplication (Figs. 4-6),
+    /// computed in a single pass over the limbs straight from the stored
+    /// rows, with `segment_bits = 2P`-wide product lanes.
+    ///
+    /// Per lane: the FF-bank select is bit `bit` of the lane's multiplier
+    /// word (the low `P` columns of the lane in `multiplier`). Where it is
+    /// 1 the lane takes `acc + multiplicand` (wrapping at the lane width),
+    /// elsewhere `acc`; unless `final_step`, the pick is then shifted left
+    /// by one within the lane (the last partial product is a plain ADD,
+    /// Fig. 5). Idle columns above the last whole lane read zero.
+    ///
+    /// For a multiplication step `s` of `P`, `bit = P - 1 - s`: the FF bank
+    /// holds the multiplier reversed and presents it MSB first.
+    ///
+    /// # Invariant
+    ///
+    /// `segment_bits` must divide 64. It does for every precision
+    /// (`2P` is 4, 8, 16, 32 or 64), so a product lane never straddles a
+    /// limb and no carry or shifted-out bit crosses a limb boundary: each
+    /// limb is one independent MSB-masked add, FF select
+    /// (`((multiplier >> bit) & lsb) * lane_ones`), mux and shift.
     ///
     /// # Panics
     ///
-    /// Panics if `lane_bits` does not have one entry per lane.
-    pub fn expand_lane_bits(&self, lane_bits: &[bool]) -> BitRow {
-        assert_eq!(lane_bits.len(), self.lane_count(), "one bit per lane");
+    /// Panics if `segment_bits` does not divide 64, if `bit` is not below
+    /// `segment_bits / 2`, or on width mismatch.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bpimc_array::{BitRow, LaneMasks};
+    /// // One 8-bit product lane (P = 4): acc = 6, multiplicand = 3, and
+    /// // multiplier bit 3 set, so the step writes (6 + 3) << 1.
+    /// let m = LaneMasks::new(8, 8);
+    /// let acc = BitRow::from_u64(8, 6);
+    /// let mcand = BitRow::from_u64(8, 3);
+    /// let mplier = BitRow::from_u64(8, 0b1000);
+    /// let next = m.mult_step_rows(&acc, &mcand, &mplier, 3, false);
+    /// assert_eq!(next.get_field(0, 8), 18);
+    /// // Bit 0 is clear: the accumulator passes through, shifted.
+    /// assert_eq!(m.mult_step_rows(&acc, &mcand, &mplier, 0, false).get_field(0, 8), 12);
+    /// ```
+    pub fn mult_step_rows(
+        &self,
+        acc: &BitRow,
+        multiplicand: &BitRow,
+        multiplier: &BitRow,
+        bit: usize,
+        final_step: bool,
+    ) -> BitRow {
+        assert!(
+            64 % self.segment_bits == 0,
+            "product lanes of {} bits straddle a limb",
+            self.segment_bits
+        );
+        assert!(
+            bit < self.segment_bits / 2,
+            "multiplier bit {bit} outside the operand half"
+        );
+        assert_eq!(acc.width(), self.cols, "row width mismatch");
+        assert_eq!(multiplicand.width(), self.cols, "row width mismatch");
+        assert_eq!(multiplier.width(), self.cols, "row width mismatch");
+        let lane_ones = field_mask(self.segment_bits);
+        let (la, lb, lq) = (acc.limbs(), multiplicand.limbs(), multiplier.limbs());
+        let (lm, ll, lact) = (self.msb.limbs(), self.lsb.limbs(), self.active.limbs());
         let mut out = BitRow::zeros(self.cols);
-        let p = self.segment_bits;
-        for (lane, &bit) in lane_bits.iter().enumerate() {
-            if bit {
-                let lo = lane * p;
-                let mut remaining = p;
-                while remaining > 0 {
-                    let w = remaining.min(64);
-                    out.set_field(lo + p - remaining, w, field_mask(w));
-                    remaining -= w;
-                }
-            }
+        for (i, o) in out.limbs_mut().iter_mut().enumerate() {
+            let (a, b) = (la[i], lb[i]);
+            let low = !lm[i] & lact[i];
+            let sum = (((a & low) + (b & low)) ^ ((a ^ b) & lm[i])) & lact[i];
+            let sel = ((lq[i] >> bit) & ll[i]) * lane_ones;
+            let pick = (sum & sel) | (a & !sel);
+            *o = if final_step {
+                pick & lact[i]
+            } else {
+                (pick << 1) & !ll[i] & lact[i]
+            };
         }
         out
     }
 }
 
-/// The fused limb loop behind [`LaneMasks::lane_add`].
-#[allow(clippy::too_many_arguments)]
-fn lane_add_limbs(
-    la: &[u64],
-    lb: &[u64],
+/// Carry state of the lane adder between limbs: an MSB-masked add whose
+/// carry ripples from limb to limb (lanes may straddle limbs), plus the
+/// optional `+1`-per-lane carry-in stage.
+struct LaneAdder {
     carry_in: bool,
-    lm: &[u64],
-    ll: &[u64],
-    lact: &[u64],
-    ls: &mut [u64],
-    lc: &mut [u64],
-) {
-    let (mut c1, mut c2) = (false, false);
-    for i in 0..la.len() {
-        let not_msb = !lm[i];
-        let am = la[i] & not_msb & lact[i];
-        let bm = lb[i] & not_msb & lact[i];
+    c1: bool,
+    c2: bool,
+}
+
+impl LaneAdder {
+    fn new(carry_in: bool) -> Self {
+        Self {
+            carry_in,
+            c1: false,
+            c2: false,
+        }
+    }
+
+    /// Adds one limb pair: returns the lane sums and the lane carry-outs at
+    /// the lane-MSB columns, and advances the inter-limb carries.
+    #[inline]
+    fn limb(&mut self, a: u64, b: u64, lm: u64, ll: u64, lact: u64) -> (u64, u64) {
+        let not_msb = !lm;
+        let am = a & not_msb & lact;
+        let bm = b & not_msb & lact;
         // Stage 1: MSB-masked halves cannot carry across a lane boundary.
         let (s1, k1) = am.overflowing_add(bm);
-        let (s1, k1b) = s1.overflowing_add(c1 as u64);
-        c1 = k1 | k1b;
+        let (s1, k1b) = s1.overflowing_add(self.c1 as u64);
+        self.c1 = k1 | k1b;
         // Stage 2: +1 at each lane LSB when a carry-in is requested.
-        let s = if carry_in {
-            let (s2, k2) = s1.overflowing_add(ll[i]);
-            let (s2, k2b) = s2.overflowing_add(c2 as u64);
-            c2 = k2 | k2b;
+        let s = if self.carry_in {
+            let (s2, k2) = s1.overflowing_add(ll);
+            let (s2, k2b) = s2.overflowing_add(self.c2 as u64);
+            self.c2 = k2 | k2b;
             s2
         } else {
             s1
         };
-        let axb = la[i] ^ lb[i];
-        ls[i] = (s ^ (axb & lm[i])) & lact[i];
-        lc[i] = ((la[i] & lb[i]) | (axb & s)) & lm[i];
+        let axb = a ^ b;
+        let sum = (s ^ (axb & lm)) & lact;
+        let cout = ((a & b) | (axb & s)) & lm;
+        (sum, cout)
     }
 }
 

@@ -70,7 +70,13 @@ impl SramArray {
         &self.geometry
     }
 
-    fn row(&self, addr: RowAddr) -> Result<&BitRow, ArrayError> {
+    /// Borrows a row in place: the stored value the column peripherals see
+    /// when the row's word-line fires, without copying it out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrayError::RowOutOfRange`] for an invalid address.
+    pub fn row(&self, addr: RowAddr) -> Result<&BitRow, ArrayError> {
         match addr {
             RowAddr::Main(i) => self.main.get(i).ok_or(ArrayError::RowOutOfRange {
                 addr,

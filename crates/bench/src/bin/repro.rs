@@ -270,6 +270,16 @@ fn micro_timings() -> MicroReport {
     mac.write_mult_operands(0, p, &[123; 8]).expect("fits");
     mac.write_mult_operands(1, p, &[45; 8]).expect("fits");
     let n = 2000;
+    // Untimed warm-up: this is the first timing of the run, and a cold
+    // start (caches, page faults, the clock ramping up) would otherwise
+    // land on it alone.
+    let warm = Instant::now();
+    while warm.elapsed().as_millis() < 50 {
+        for _ in 0..100 {
+            mac.mult(0, 1, 2, p).expect("mult");
+            mac.clear_activity();
+        }
+    }
     let t0 = Instant::now();
     for _ in 0..n {
         mac.mult(0, 1, 2, p).expect("mult");

@@ -6,7 +6,7 @@ use crate::error::Error;
 use crate::isa::OpKind;
 use crate::words;
 use bpimc_array::{BitRow, BlSeparator, CycleKind, RowAddr, SramArray};
-use bpimc_periph::{CarryChain, FfBank, LogicOp, Precision};
+use bpimc_periph::{CarryChain, LogicOp, Precision};
 
 /// One 128 x 128 in-memory-computing macro (array + dummy rows + column
 /// peripherals), executing the paper's Table I operation set cycle by cycle.
@@ -266,7 +266,7 @@ impl ImcMacro {
         precision: Precision,
     ) -> Result<u64, Error> {
         let readout = self.array.bl_compute(RowAddr::Main(a), RowAddr::Main(b))?;
-        let sum = self.chain(precision.bits()).add(&readout, false).sum;
+        let sum = self.chain(precision.bits()).sum(&readout, false);
         self.writeback(RowAddr::Main(dst), &sum, CycleKind::Compute, 0)?;
         self.log.push_op(OpKind::Add, precision, 1);
         Ok(1)
@@ -322,7 +322,7 @@ impl ImcMacro {
         )?;
         // Cycle 2: A + ~B + 1.
         let readout = self.array.bl_compute(RowAddr::Main(a), RowAddr::Dummy(0))?;
-        let diff = self.chain(precision.bits()).add(&readout, true).sum;
+        let diff = self.chain(precision.bits()).sum(&readout, true);
         self.writeback(RowAddr::Main(dst), &diff, CycleKind::Compute, 0)?;
         self.log.push_op(OpKind::Sub, precision, 2);
         Ok(2)
@@ -332,6 +332,15 @@ impl ImcMacro {
     /// (multiplicand) and `b` (multiplier): `dst`'s `2P`-wide lanes receive
     /// the full products. Takes `P + 2` cycles (Table I): two initialisation
     /// cycles, then `P` add-and-shift steps (the last one a plain ADD).
+    ///
+    /// Each step is one pass of the fused limb kernel
+    /// [`LaneMasks::mult_step_rows`](bpimc_array::LaneMasks::mult_step_rows)
+    /// over the stored accumulator and multiplicand rows, with the FF-bank
+    /// select taken straight from the latched multiplier row. `2P` divides
+    /// 64 for every [`Precision`], so a product lane never straddles a
+    /// `u64` limb and each limb is computed on its own. The cycle sequence,
+    /// activity log, separator counts and every main and dummy row are
+    /// those of the paper's per-step FF-bank model.
     ///
     /// Operands must be stored with [`ImcMacro::write_mult_operands`].
     ///
@@ -355,20 +364,16 @@ impl ImcMacro {
             });
         }
         let chain = self.chain(2 * bits);
+        let masks = chain.masks();
         let lanes = chain.lane_count();
+        let lane_cols = lanes * 2 * bits;
 
         // Init cycle 1: zeros into dummy row 0 (the accumulator) while the
-        // multiplier row is read into the FF bank, reversed.
-        let rb = self.array.single_read(RowAddr::Main(b))?;
-        let mut bank = FfBank::new(precision, lanes);
-        for lane in 0..lanes {
-            bank.load(lane, rb.a.get_field(lane * 2 * bits, bits));
-        }
-        let zeros = BitRow::zeros(cols);
-        let lane_cols = lanes * 2 * bits;
+        // multiplier row is latched into the FF bank.
+        let multiplier = self.array.row(RowAddr::Main(b))?.clone();
         self.writeback_gated(
             RowAddr::Dummy(0),
-            &zeros,
+            &BitRow::zeros(cols),
             CycleKind::SingleAccess,
             lanes * bits,
             lane_cols,
@@ -376,8 +381,7 @@ impl ImcMacro {
         )?;
 
         // Init cycle 2: copy the multiplicand into dummy row 1.
-        let ra = self.array.single_read(RowAddr::Main(a))?;
-        let multiplicand = ra.a;
+        let multiplicand = self.array.row(RowAddr::Main(a))?.clone();
         self.writeback_gated(
             RowAddr::Dummy(1),
             &multiplicand,
@@ -389,17 +393,19 @@ impl ImcMacro {
 
         // P add-and-shift steps, accumulator ping-ponging between dummy rows
         // 0 and 2 (the paper's "second and third rows"); the final step is a
-        // plain ADD written to the destination.
+        // plain ADD written to the destination. The FF bank presents the
+        // multiplier MSB first, so step `s` selects on bit `P - 1 - s`.
         let mut acc_src = RowAddr::Dummy(0);
         let mut acc_dst = RowAddr::Dummy(2);
         for step in 0..bits {
             let final_step = step == bits - 1;
-            let readout = self.array.bl_compute(acc_src, RowAddr::Dummy(1))?;
-            // The Y-path FFs hold the previously written accumulator value
-            // for the pass-through (FF bit = 0) case.
-            let acc_latch = self.array.read(acc_src)?;
-            let ff = bank.fronts();
-            let next = chain.mult_step(&readout, &acc_latch, &ff, final_step);
+            let next = masks.mult_step_rows(
+                self.array.row(acc_src)?,
+                self.array.row(RowAddr::Dummy(1))?,
+                &multiplier,
+                bits - 1 - step,
+                final_step,
+            );
             let target = if final_step {
                 RowAddr::Main(dst)
             } else {
@@ -417,7 +423,6 @@ impl ImcMacro {
                 lanes * valid,
                 false,
             )?;
-            bank.shift();
             std::mem::swap(&mut acc_src, &mut acc_dst);
         }
 
@@ -459,7 +464,7 @@ impl ImcMacro {
         let chain = self.chain(precision.bits());
         for (i, &s) in srcs.iter().enumerate().skip(1) {
             let readout = self.array.bl_compute(acc, RowAddr::Main(s))?;
-            let sum = chain.add(&readout, false).sum;
+            let sum = chain.sum(&readout, false);
             let target = if i == srcs.len() - 1 {
                 RowAddr::Main(dst)
             } else {
@@ -545,10 +550,101 @@ impl ImcMacro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpimc_periph::FfBank;
     use proptest::prelude::*;
 
     fn mac() -> ImcMacro {
         ImcMacro::new(MacroConfig::paper_macro())
+    }
+
+    /// The paper's per-step multiplication model, kept as the oracle for
+    /// [`ImcMacro::mult`]: the multiplier is loaded reversed into an
+    /// [`FfBank`], and every step is a dual-WL `bl_compute` of the
+    /// accumulator and multiplicand rows, a read of the accumulator into the
+    /// Y-path FFs, and the structural column-by-column
+    /// [`CarryChain::mult_step_bitwise`] selecting on the bank's front bits.
+    fn mult_per_step(
+        m: &mut ImcMacro,
+        a: usize,
+        b: usize,
+        dst: usize,
+        precision: Precision,
+    ) -> Result<u64, Error> {
+        let bits = precision.bits();
+        let cols = m.cols();
+        if 2 * bits > cols {
+            return Err(Error::PrecisionTooWide {
+                needed_bits: 2 * bits,
+                cols,
+            });
+        }
+        let chain = m.chain(2 * bits);
+        let lanes = chain.lane_count();
+        let rb = m.array.single_read(RowAddr::Main(b))?;
+        let mut bank = FfBank::new(precision, lanes);
+        for lane in 0..lanes {
+            bank.load(lane, rb.a.get_field(lane * 2 * bits, bits));
+        }
+        let lane_cols = lanes * 2 * bits;
+        m.writeback_gated(
+            RowAddr::Dummy(0),
+            &BitRow::zeros(cols),
+            CycleKind::SingleAccess,
+            lanes * bits,
+            lane_cols,
+            false,
+        )?;
+        let ra = m.array.single_read(RowAddr::Main(a))?;
+        m.writeback_gated(
+            RowAddr::Dummy(1),
+            &ra.a,
+            CycleKind::SingleAccess,
+            0,
+            lane_cols,
+            false,
+        )?;
+        let mut acc_src = RowAddr::Dummy(0);
+        let mut acc_dst = RowAddr::Dummy(2);
+        for step in 0..bits {
+            let final_step = step == bits - 1;
+            let readout = m.array.bl_compute(acc_src, RowAddr::Dummy(1))?;
+            let acc_latch = m.array.read(acc_src)?;
+            let ff: Vec<bool> = (0..lanes).map(|lane| bank.front(lane)).collect();
+            let next = chain.mult_step_bitwise(&readout, &acc_latch, &ff, final_step);
+            let target = if final_step {
+                RowAddr::Main(dst)
+            } else {
+                acc_dst
+            };
+            let valid = (bits + step + 1).min(2 * bits);
+            m.writeback_gated(
+                target,
+                &next,
+                CycleKind::Compute,
+                lanes * bits,
+                lanes * valid,
+                false,
+            )?;
+            bank.shift();
+            std::mem::swap(&mut acc_src, &mut acc_dst);
+        }
+        let cycles = bits as u64 + 2;
+        m.log.push_op(OpKind::Mult, precision, cycles as usize);
+        Ok(cycles)
+    }
+
+    /// A full row of pseudo-random bits (splitmix64 over `seed`).
+    fn junk_row(cols: usize, seed: &mut u64) -> BitRow {
+        let limbs = (0..cols.div_ceil(64))
+            .map(|_| {
+                *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = *seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
+        BitRow::from_limbs(cols, limbs)
     }
 
     #[test]
@@ -769,6 +865,41 @@ mod tests {
             let got = m.read_products(2, Precision::P8, 8).unwrap();
             for i in 0..8 {
                 prop_assert_eq!(got[i], a[i] * b[i]);
+            }
+        }
+
+        /// The fused kernel reproduces the per-step FF-bank model exactly at
+        /// every width and precision: returned cycles, every main and dummy
+        /// row, the activity log and the separator counts. Rows are random
+        /// in full, so the operands carry junk in their high halves and in
+        /// the idle columns above the last whole lane, and the source and
+        /// destination rows may alias.
+        #[test]
+        fn mult_matches_the_per_step_model(
+            seed in any::<u64>(),
+            a in 0usize..3,
+            b in 0usize..3,
+            dst in 0usize..3,
+        ) {
+            let mut seed = seed;
+            for cols in [8usize, 16, 20, 64, 100, 128, 192, 256, 320, 1024] {
+                for p in Precision::ALL {
+                    let mut fused = ImcMacro::new(MacroConfig::with_cols(cols));
+                    for row in 0..3 {
+                        fused.write_row(row, &junk_row(cols, &mut seed)).unwrap();
+                    }
+                    for d in 0..3 {
+                        fused.array.write(RowAddr::Dummy(d), &junk_row(cols, &mut seed)).unwrap();
+                    }
+                    let mut oracle = fused.clone();
+                    let got = fused.mult(a, b, dst, p);
+                    let want = mult_per_step(&mut oracle, a, b, dst, p);
+                    prop_assert_eq!(&got, &want, "cycles at {} cols, {}", cols, p);
+                    // Every main and dummy row.
+                    prop_assert!(fused.array == oracle.array, "rows differ at {} cols, {}", cols, p);
+                    prop_assert_eq!(fused.activity(), oracle.activity(), "activity at {} cols, {}", cols, p);
+                    prop_assert_eq!(fused.separator(), oracle.separator(), "separator at {} cols, {}", cols, p);
+                }
             }
         }
 

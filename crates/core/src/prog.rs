@@ -947,7 +947,7 @@ impl CompiledProgram {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        self.execute(mac, None)
+        self.run_billed(mac, None)
     }
 
     /// Executes the pre-resolved op array with fresh *input bindings*: one
@@ -980,12 +980,13 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<ProgramRun, ProgError> {
-        self.execute(mac, Some(inputs))
+        self.run_billed(mac, Some(inputs))
     }
 
     /// The read outputs of [`CompiledProgram::run_with_inputs`], for
     /// callers that bill from the activity log's totals anyway (the
-    /// serving classify path).
+    /// serving classify path): the same run, with no per-instruction
+    /// accounting built.
     ///
     /// # Errors
     ///
@@ -1000,19 +1001,41 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<Vec<Vec<u64>>, ProgError> {
-        self.run_with_inputs(mac, inputs).map(|run| run.outputs)
+        self.execute(mac, Some(inputs), |_, _| {})
     }
 
-    /// The one instruction loop behind every entry point: runs the op
-    /// array on `mac`, writing bound values in place of the compiled ones
-    /// where `inputs` supplies them, and bills each op's logged cycles to
-    /// its submitted instruction. The total is asserted against the static
-    /// cost model.
-    fn execute(
+    /// [`CompiledProgram::execute`] plus the per-instruction accounting of
+    /// a [`ProgramRun`].
+    fn run_billed(
         &self,
         mac: &mut ImcMacro,
         inputs: Option<&[Option<&[u64]>]>,
     ) -> Result<ProgramRun, ProgError> {
+        let log_start = mac.activity().total_cycles() as usize;
+        let mut instr_cycles = vec![0u64; self.submitted];
+        let mut instr_spans = vec![log_start..log_start; self.submitted];
+        let outputs = self.execute(mac, inputs, |idx, span| {
+            instr_cycles[idx] = span.len() as u64;
+            instr_spans[idx] = span;
+        })?;
+        Ok(ProgramRun {
+            outputs,
+            instr_cycles,
+            instr_spans,
+        })
+    }
+
+    /// The one instruction loop behind every entry point: runs the op
+    /// array on `mac`, writing bound values in place of the compiled ones
+    /// where `inputs` supplies them, hands each op's activity-log span to
+    /// `bill` with its submitted instruction, and returns the read
+    /// outputs. The total is asserted against the static cost model.
+    fn execute(
+        &self,
+        mac: &mut ImcMacro,
+        inputs: Option<&[Option<&[u64]>]>,
+        mut bill: impl FnMut(usize, Range<usize>),
+    ) -> Result<Vec<Vec<u64>>, ProgError> {
         if *mac.config() != self.config {
             return Err(ProgError::ConfigMismatch);
         }
@@ -1021,11 +1044,9 @@ impl CompiledProgram {
         }
         let log_start = mac.activity().total_cycles() as usize;
         let mut outputs = Vec::with_capacity(self.reads);
-        let mut instr_cycles = vec![0u64; self.submitted];
-        let mut instr_spans = vec![log_start..log_start; self.submitted];
         let mut bindings = inputs.unwrap_or_default().iter();
+        let mut start = log_start;
         for (instr, idx) in &self.ops {
-            let start = mac.activity().total_cycles() as usize;
             let bound = match instr {
                 Instr::Write { .. } | Instr::WriteMult { .. } => bindings.next().copied().flatten(),
                 _ => None,
@@ -1044,19 +1065,15 @@ impl CompiledProgram {
                 source,
             })?;
             let end = mac.activity().total_cycles() as usize;
-            instr_cycles[*idx] = (end - start) as u64;
-            instr_spans[*idx] = start..end;
+            bill(*idx, start..end);
+            start = end;
         }
-        let executed = mac.activity().total_cycles() - log_start as u64;
         assert_eq!(
-            executed, self.predicted,
+            (start - log_start) as u64,
+            self.predicted,
             "static cost model diverged from the activity log"
         );
-        Ok(ProgramRun {
-            outputs,
-            instr_cycles,
-            instr_spans,
-        })
+        Ok(outputs)
     }
 
     /// Checks a binding set against the compiled writes without touching

@@ -13,7 +13,9 @@
 //! * the **structural reference** ([`CarryChain::add_bitwise`],
 //!   [`CarryChain::mult_step_bitwise`], …): the original column-by-column
 //!   ripple through [`YPath`] slices. It is kept as the ground truth the
-//!   property tests compare the engine against bit-for-bit.
+//!   property tests compare the engine against bit-for-bit (the macro's
+//!   multiplication tests pin the fused [`LaneMasks::mult_step_rows`]
+//!   kernel to it step by step).
 //!
 //! Both compute the same function; only host time differs. Simulated cycle
 //! counts are decided by the macro executor, not by either code path.
@@ -86,7 +88,9 @@ impl CarryChain {
     }
 
     /// Row-wide `A + B` (+ `carry_in` into every lane's LSB — `true` is the
-    /// two's-complement `+1` used by SUB). Limb-parallel.
+    /// two's-complement `+1` used by SUB), with each lane's carry-out.
+    /// Limb-parallel; [`CarryChain::sum`] is the write-back path that skips
+    /// the carries.
     pub fn add(&self, readout: &DualReadout, carry_in: bool) -> AddOutcome {
         self.check_width(readout.and.width());
         let (sum, cout) = self
@@ -98,12 +102,19 @@ impl CarryChain {
         AddOutcome { sum, carries }
     }
 
+    /// The per-column sums of [`CarryChain::add`] alone: what an ADD or SUB
+    /// writes back. One fused limb pass, no carry-out bookkeeping.
+    pub fn sum(&self, readout: &DualReadout, carry_in: bool) -> BitRow {
+        self.check_width(readout.and.width());
+        self.masks
+            .lane_sum_from_readout(&readout.and, &readout.nor, carry_in)
+    }
+
     /// Row-wide add-and-shift: per lane, `(A + B) << 1` written in a single
     /// cycle (each column writes back its right neighbour's sum; the lane
     /// LSB receives zero). Limb-parallel.
     pub fn add_shift(&self, readout: &DualReadout) -> BitRow {
-        let added = self.add(readout, false);
-        self.shift_row(&added.sum)
+        self.shift_row(&self.sum(readout, false))
     }
 
     /// Per-lane logical left shift by one of raw row data (the single-WL
@@ -111,32 +122,6 @@ impl CarryChain {
     pub fn shift_row(&self, data: &BitRow) -> BitRow {
         self.check_width(data.width());
         self.masks.lane_shl1(data)
-    }
-
-    /// One multiplication step: per lane, writes `(sum) << 1` when the
-    /// lane's multiplier FF bit is 1, else `(acc) << 1` where `acc` is the
-    /// Y-path FF copy of the previously written accumulator.
-    ///
-    /// When `final_step` is true the shift is suppressed (the last partial
-    /// product is accumulated with a plain ADD, per Fig. 5). Limb-parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ff_bits` does not have one entry per lane.
-    pub fn mult_step(
-        &self,
-        readout: &DualReadout,
-        acc_latch: &BitRow,
-        ff_bits: &[bool],
-        final_step: bool,
-    ) -> BitRow {
-        self.check_width(acc_latch.width());
-        let (sum, _cout) = self
-            .masks
-            .lane_add_from_readout(&readout.and, &readout.nor, false);
-        let ff_mask = self.masks.expand_lane_bits(ff_bits);
-        self.masks
-            .select_shl1(&ff_mask, &sum, acc_latch, final_step)
     }
 
     // ------------------------------------------------------------------
@@ -184,7 +169,12 @@ impl CarryChain {
         out
     }
 
-    /// [`CarryChain::mult_step`] computed column by column (reference).
+    /// One multiplication step computed column by column (reference): per
+    /// lane, writes `(sum) << 1` when the lane's multiplier FF bit is 1, else
+    /// `(acc) << 1` where `acc` is the Y-path FF copy of the previously
+    /// written accumulator; `final_step` suppresses the shift (the last
+    /// partial product is a plain ADD, Fig. 5). The fused limb kernel
+    /// [`LaneMasks::mult_step_rows`] computes the same function.
     ///
     /// # Panics
     ///
@@ -283,17 +273,21 @@ mod tests {
 
     #[test]
     fn mult_step_selects_sum_or_latch() {
+        // One 8-bit product lane (P = 4); the step reads multiplier bit 3.
         let chain = CarryChain::with_segment_bits(8, 8);
+        let masks = chain.masks();
         let acc = BitRow::from_u64(8, 0b0000_0110);
+        let mcand = BitRow::from_u64(8, 0b0000_0011);
+        let ff_one = BitRow::from_u64(8, 0b1000);
+        let ff_zero = BitRow::from_u64(8, 0b0111);
         // ff = 1: (acc + a) << 1.
-        let r = readout(8, 0b0000_0110, 0b0000_0011);
-        let out = chain.mult_step(&r, &acc, &[true], false);
+        let out = masks.mult_step_rows(&acc, &mcand, &ff_one, 3, false);
         assert_eq!(out.get_field(0, 8), ((0b110 + 0b011) << 1) & 0xFF);
-        // ff = 0: acc << 1 regardless of the readout.
-        let out = chain.mult_step(&r, &acc, &[false], false);
+        // ff = 0: acc << 1 regardless of the multiplicand.
+        let out = masks.mult_step_rows(&acc, &mcand, &ff_zero, 3, false);
         assert_eq!(out.get_field(0, 8), 0b0000_1100);
         // final step suppresses the shift.
-        let out = chain.mult_step(&r, &acc, &[true], true);
+        let out = masks.mult_step_rows(&acc, &mcand, &ff_one, 3, true);
         assert_eq!(out.get_field(0, 8), 0b110 + 0b011);
     }
 
@@ -312,9 +306,12 @@ mod tests {
         for col in 16..20 {
             assert!(!out.sum.get(col), "idle col {col}");
         }
-        let m = chain.mult_step(&r, &ra, &[true, true], true);
-        for col in 16..20 {
-            assert!(!m.get(col), "idle col {col} after mult_step");
+        assert_eq!(chain.sum(&r, true), out.sum);
+        for final_step in [false, true] {
+            let m = chain.masks().mult_step_rows(&ra, &rb, &ra, 3, final_step);
+            for col in 16..20 {
+                assert!(!m.get(col), "idle col {col} after a mult step");
+            }
         }
     }
 
@@ -373,29 +370,35 @@ mod tests {
             let chain = CarryChain::with_segment_bits(cols, seg);
             let fast = chain.add(&r, cin);
             let slow = chain.add_bitwise(&r, cin);
+            prop_assert_eq!(&chain.sum(&r, cin), &slow.sum, "sum-only mismatch cols={} seg={}", cols, seg);
             prop_assert_eq!(&fast.sum, &slow.sum, "sum mismatch cols={} seg={}", cols, seg);
             prop_assert_eq!(&fast.carries, &slow.carries, "carry mismatch cols={} seg={}", cols, seg);
         }
 
-        /// The limb-parallel shift and mult-step match their per-column
-        /// references bit-for-bit.
+        /// The limb-parallel shift and the fused mult-step kernel match
+        /// their per-column references bit-for-bit (the kernel's FF select
+        /// is multiplier bit `bit` of each lane, the reference's is an
+        /// explicit per-lane flag).
         #[test]
         fn limb_mult_step_matches_bitwise_reference(
             a in any::<u64>(),
             b in any::<u64>(),
-            acc in any::<u64>(),
-            ff_seed in any::<u64>(),
+            multiplier in any::<u64>(),
+            bit_seed in any::<usize>(),
             final_step in any::<bool>(),
-            seg_pick in 0usize..4,
+            seg_pick in 0usize..5,
         ) {
             let cols = 64;
-            let seg = [4usize, 8, 16, 32][seg_pick];
+            let seg = [4usize, 8, 16, 32, 64][seg_pick];
+            let bit = bit_seed % (seg / 2);
             let chain = CarryChain::with_segment_bits(cols, seg);
-            let r = readout(cols, a, b);
-            let acc_row = BitRow::from_u64(cols, acc);
-            let ff: Vec<bool> = (0..chain.lane_count()).map(|i| (ff_seed >> i) & 1 == 1).collect();
-            let fast = chain.mult_step(&r, &acc_row, &ff, final_step);
-            let slow = chain.mult_step_bitwise(&r, &acc_row, &ff, final_step);
+            let (acc_row, mcand) = (BitRow::from_u64(cols, a), BitRow::from_u64(cols, b));
+            let mplier = BitRow::from_u64(cols, multiplier);
+            let ff: Vec<bool> = (0..chain.lane_count())
+                .map(|lane| mplier.get(lane * seg + bit))
+                .collect();
+            let fast = chain.masks().mult_step_rows(&acc_row, &mcand, &mplier, bit, final_step);
+            let slow = chain.mult_step_bitwise(&readout(cols, a, b), &acc_row, &ff, final_step);
             prop_assert_eq!(&fast, &slow);
             let data = BitRow::from_u64(cols, a);
             prop_assert_eq!(chain.shift_row(&data), chain.shift_row_bitwise(&data));

@@ -59,11 +59,6 @@ impl FfBank {
         self.regs[lane][0]
     }
 
-    /// All lanes' front bits.
-    pub fn fronts(&self) -> Vec<bool> {
-        self.regs.iter().map(|r| r[0]).collect()
-    }
-
     /// Shifts every lane register one position (consuming the front bits).
     pub fn shift(&mut self) {
         for reg in &mut self.regs {
@@ -102,9 +97,10 @@ mod tests {
         bank.load(0, 0b01);
         bank.load(1, 0b10);
         bank.load(2, 0b11);
-        assert_eq!(bank.fronts(), vec![false, true, true]);
+        let fronts = |b: &FfBank| (0..3).map(|l| b.front(l)).collect::<Vec<_>>();
+        assert_eq!(fronts(&bank), vec![false, true, true]);
         bank.shift();
-        assert_eq!(bank.fronts(), vec![true, false, true]);
+        assert_eq!(fronts(&bank), vec![true, false, true]);
     }
 
     #[test]
