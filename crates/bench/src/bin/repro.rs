@@ -446,11 +446,19 @@ fn micro_timings() -> MicroReport {
     // The headline Monte-Carlo workload at smoke scale: 200 fig2 samples
     // through the structure-of-arrays batch transient engine. Wall-gated
     // like the other host timings so the batched path cannot silently
-    // regress toward the scalar cost.
-    let t0 = Instant::now();
-    let fig2 = bpimc_bench::experiments::fig2::run(200, 2020);
-    assert_eq!(fig2.samples, 200, "fig2 smoke ran");
-    let fig2_us = t0.elapsed().as_secs_f64() * 1e6;
+    // regress toward the scalar cost. One untimed warm-up call (the first
+    // run pays for page faults and the clock ramping up), then the median
+    // of three timed calls.
+    let fig2_run = || {
+        let t0 = Instant::now();
+        let fig2 = bpimc_bench::experiments::fig2::run(200, 2020);
+        assert_eq!(fig2.samples, 200, "fig2 smoke ran");
+        t0.elapsed().as_secs_f64() * 1e6
+    };
+    fig2_run();
+    let mut fig2_rounds = [fig2_run(), fig2_run(), fig2_run()];
+    fig2_rounds.sort_by(f64::total_cmp);
+    let fig2_us = fig2_rounds[1];
 
     let served_req_per_s = serve_throughput();
     MicroReport {

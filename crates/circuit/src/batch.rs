@@ -9,11 +9,20 @@
 //!
 //! [`BatchSim`] compiles the topology **once** and lays the per-instance
 //! state out as contiguous per-field arrays (`voltages[node][instance]`,
-//! `vt[mosfet][instance]`, …). Each integration round evaluates every
-//! element's currents across all instances with
-//! [`bpimc_device::Mosfet::ids_batch`], whose branch-free
-//! [`bpimc_device::fastmath`] body auto-vectorizes — the dominant cost of a
-//! sweep drops by the host's SIMD width.
+//! `vt[mosfet][instance]`, …). Each derivative evaluation is one flat pass
+//! over every device of every instance: the terminals are oriented into
+//! `[mosfet * batch + instance]` scratch, a single
+//! [`bpimc_device::Mosfet::ids_batch`] call evaluates the whole array
+//! (its branch-free [`bpimc_device::fastmath`] body auto-vectorizes, so the
+//! dominant cost of a sweep drops by the host's SIMD width), and the
+//! currents are scattered back in element order — resistors, then MOSFETs
+//! by index — so each node accumulates its terms in the scalar solver's
+//! order. The step control runs node-major across instances too: the
+//! step-size `min` fold and the Heun-error `max` fold are order-free, and
+//! the accepted update is per-lane arithmetic masked by the lanes that
+//! accepted, so all three vectorize without changing a bit. Only the
+//! source-slew halving and the per-instance bookkeeping (time, storage,
+//! retirement) stay a loop over instances.
 //!
 //! **This is a data-layout change, not a numerics change.** Every instance
 //! keeps its own adaptive time step and makes exactly the step decisions
@@ -217,25 +226,23 @@ impl<'a> BatchSim<'a> {
         self.insts.len()
     }
 
-    /// Parameter lanes of mosfet `m`.
-    fn lanes_of(&self, m: usize) -> MosParamsLanes<'_> {
+    /// Row `i` of a `[i * batch + j]` array: the lanes of node, device or
+    /// resistor `i` across every instance `j`.
+    fn row(&self, i: usize) -> std::ops::Range<usize> {
         let b = self.batch();
-        let r = m * b..(m + 1) * b;
-        MosParamsLanes {
-            vt: &self.vt[r.clone()],
-            phi: &self.phi[r.clone()],
-            keff: &self.keff[r.clone()],
-            alpha: &self.alpha[r.clone()],
-            lambda: &self.lambda[r.clone()],
-            sat_frac: &self.sat_frac[r.clone()],
-            vdsat_min: &self.vdsat_min[r],
-        }
+        i * b..(i + 1) * b
     }
 
     /// Element currents into `dvdt` and, when `gc` is given, the per-node
     /// stiffness rates — the batched twin of the scalar solver's
-    /// `derivatives` / `derivatives_g`, same element order, same
-    /// per-instance arithmetic.
+    /// `derivatives` / `derivatives_g`, same per-instance arithmetic.
+    ///
+    /// One pass over the devices in three stages: orient every device of
+    /// every instance into the `[mos * batch + j]` scratch, evaluate all of
+    /// them with a single [`Mosfet::ids_batch`] call over the parameter
+    /// arrays (already laid out that way), then scatter in element order —
+    /// resistors first, then MOSFETs by index, the scalar solver's order —
+    /// so every node accumulates its terms in the same sequence.
     fn derivatives(
         &self,
         v: &[f64],
@@ -244,94 +251,82 @@ impl<'a> BatchSim<'a> {
         s: &mut Scratch,
     ) {
         let b = self.batch();
+        for (m, &(kind, d, gnode, src)) in self.mos_topo.iter().enumerate() {
+            let (vd, vg, vs) = (&v[self.row(d)], &v[self.row(gnode)], &v[self.row(src)]);
+            let (vgs, vds, sgn) = (
+                &mut s.vgs[self.row(m)],
+                &mut s.vds[self.row(m)],
+                &mut s.sgn[self.row(m)],
+            );
+            // Terminal orientation exactly as the scalar solver decides it:
+            // `(hi, lo) = if v[d] >= v[s] { (d, s) } else { (s, d) }`.
+            for j in 0..b {
+                let fwd = vd[j] >= vs[j];
+                let (hi, lo) = if fwd { (vd[j], vs[j]) } else { (vs[j], vd[j]) };
+                vds[j] = hi - lo;
+                vgs[j] = match kind {
+                    DeviceKind::Nmos => vg[j] - lo,
+                    DeviceKind::Pmos => hi - vg[j],
+                };
+                sgn[j] = if fwd { 1.0 } else { -1.0 };
+            }
+        }
+        let lanes = MosParamsLanes {
+            vt: &self.vt,
+            phi: &self.phi,
+            keff: &self.keff,
+            alpha: &self.alpha,
+            lambda: &self.lambda,
+            sat_frac: &self.sat_frac,
+            vdsat_min: &self.vdsat_min,
+        };
+        Mosfet::ids_batch(&lanes, &s.vgs, &s.vds, &mut s.cur, &mut s.gds);
+        // Signed current in drain->source orientation; `x -= -i` and
+        // `x += i` are the same IEEE operation, so per-instance results
+        // match the scalar solver's hi/lo formulation bit for bit.
+        for (c, sg) in s.cur.iter_mut().zip(&s.sgn) {
+            *c *= sg;
+        }
+
         dvdt.fill(0.0);
         if let Some(g) = gc.as_deref_mut() {
             g.fill(0.0);
         }
         for (r, &(a, bn)) in self.cond_ends.iter().enumerate() {
-            let gl = &self.cond_g[r * b..(r + 1) * b];
-            let (av, bv) = (a * b, bn * b);
+            let (gl, va, vb) = (&self.cond_g[self.row(r)], &v[self.row(a)], &v[self.row(bn)]);
+            let cur = &mut s.res_cur;
             for j in 0..b {
-                s.cur[j] = (v[av + j] - v[bv + j]) * gl[j];
+                cur[j] = (va[j] - vb[j]) * gl[j];
             }
-            for j in 0..b {
-                dvdt[av + j] -= s.cur[j];
-            }
-            for j in 0..b {
-                dvdt[bv + j] += s.cur[j];
-            }
+            sub_from(&mut dvdt[self.row(a)], cur);
+            add_to(&mut dvdt[self.row(bn)], cur);
             if let Some(g) = gc.as_deref_mut() {
-                for j in 0..b {
-                    g[av + j] += gl[j];
-                }
-                for j in 0..b {
-                    g[bv + j] += gl[j];
-                }
+                add_to(&mut g[self.row(a)], gl);
+                add_to(&mut g[self.row(bn)], gl);
             }
         }
-        for (m, &(kind, d, gnode, src)) in self.mos_topo.iter().enumerate() {
-            let (dv, gv, sv) = (d * b, gnode * b, src * b);
-            // Terminal orientation exactly as the scalar solver decides it:
-            // `(hi, lo) = if v[d] >= v[s] { (d, s) } else { (s, d) }`.
-            match kind {
-                DeviceKind::Nmos => {
-                    for j in 0..b {
-                        let (vd, vs) = (v[dv + j], v[sv + j]);
-                        let fwd = vd >= vs;
-                        let (hi, lo) = if fwd { (vd, vs) } else { (vs, vd) };
-                        s.vds[j] = hi - lo;
-                        s.vgs[j] = v[gv + j] - lo;
-                        s.sgn[j] = if fwd { 1.0 } else { -1.0 };
-                    }
-                }
-                DeviceKind::Pmos => {
-                    for j in 0..b {
-                        let (vd, vs) = (v[dv + j], v[sv + j]);
-                        let fwd = vd >= vs;
-                        let (hi, lo) = if fwd { (vd, vs) } else { (vs, vd) };
-                        s.vds[j] = hi - lo;
-                        s.vgs[j] = hi - v[gv + j];
-                        s.sgn[j] = if fwd { 1.0 } else { -1.0 };
-                    }
-                }
-            }
-            Mosfet::ids_batch(&self.lanes_of(m), &s.vgs, &s.vds, &mut s.cur, &mut s.gds);
-            // Signed current in drain->source orientation; `x -= -i` and
-            // `x += i` are the same IEEE operation, so per-instance results
-            // match the scalar solver's hi/lo formulation bit for bit.
-            for j in 0..b {
-                s.cur[j] *= s.sgn[j];
-            }
-            for j in 0..b {
-                dvdt[dv + j] -= s.cur[j];
-            }
-            for j in 0..b {
-                dvdt[sv + j] += s.cur[j];
-            }
+        for (m, &(_, d, _, src)) in self.mos_topo.iter().enumerate() {
+            let cur = &s.cur[self.row(m)];
+            sub_from(&mut dvdt[self.row(d)], cur);
+            add_to(&mut dvdt[self.row(src)], cur);
             if let Some(g) = gc.as_deref_mut() {
-                for j in 0..b {
-                    g[dv + j] += s.gds[j];
-                }
-                for j in 0..b {
-                    g[sv + j] += s.gds[j];
-                }
+                let gds = &s.gds[self.row(m)];
+                add_to(&mut g[self.row(d)], gds);
+                add_to(&mut g[self.row(src)], gds);
             }
         }
-        for i in 0..self.nodes {
-            let at = i * b;
-            if self.is_state[i] {
-                for j in 0..b {
-                    dvdt[at + j] /= self.caps[at + j];
-                }
-                if let Some(g) = gc.as_deref_mut() {
-                    for j in 0..b {
-                        g[at + j] /= self.caps[at + j];
-                    }
+        for (i, &state) in self.is_state.iter().enumerate() {
+            let (caps, dv) = (&self.caps[self.row(i)], &mut dvdt[self.row(i)]);
+            let g = gc.as_deref_mut().map(|g| &mut g[self.row(i)]);
+            if state {
+                div_by(dv, caps);
+                if let Some(g) = g {
+                    div_by(g, caps);
                 }
             } else {
-                dvdt[at..at + b].fill(0.0);
-                if let Some(g) = gc.as_deref_mut() {
-                    g[at..at + b].fill(0.0);
+                dv.fill(0.0);
+                if let Some(g) = g {
+                    g.fill(0.0);
                 }
             }
         }
@@ -381,7 +376,7 @@ impl<'a> BatchSim<'a> {
         let mut k2 = vec![0.0; n * b];
         let mut tmp = vec![0.0; n * b];
         let mut gc = vec![0.0; n * b];
-        let mut scratch = Scratch::new(b);
+        let mut scratch = Scratch::new(b, self.mos_topo.len());
         let mut row = vec![0.0; n];
 
         let mut traces: Vec<Trace> = self
@@ -393,7 +388,9 @@ impl<'a> BatchSim<'a> {
         let mut dt_next = vec![opts.dt; b];
         let mut next_store = vec![opts.store_dt; b];
         let mut dts = vec![0.0f64; b];
+        let mut err = vec![0.0f64; b];
         let mut active = vec![true; b];
+        let mut accept = vec![false; b];
         for (j, tr) in traces.iter_mut().enumerate() {
             gather_row(&v, b, j, &mut row);
             tr.push(0.0, &row);
@@ -402,22 +399,33 @@ impl<'a> BatchSim<'a> {
         let mut n_active = b;
         while n_active > 0 {
             self.derivatives(&v, &mut k1, Some(&mut gc), &mut scratch);
-            // Per-instance step sizing — the scalar solver's decisions,
-            // instance by instance.
+            // Step sizing: the scalar solver's `dv_max` limit, folded node by
+            // node across all lanes at once (a `min` fold, so the node-major
+            // order changes nothing). A node whose `denom` is not positive
+            // contributes `INFINITY`, which the `min` ignores exactly as the
+            // scalar solver's skip does.
+            for j in 0..b {
+                dts[j] = dt_next[j].min(opts.t_stop - t[j]);
+            }
+            for i in 0..n {
+                let (k, g) = (&k1[self.row(i)], &gc[self.row(i)]);
+                for j in 0..b {
+                    let denom = k[j].abs() - dv_max * g[j];
+                    let limit = if denom > 0.0 {
+                        dv_max / denom
+                    } else {
+                        f64::INFINITY
+                    };
+                    dts[j] = dts[j].min(limit);
+                }
+            }
+            // Clamping and the source-slew halving stay per instance.
             for (j, dt_slot) in dts.iter_mut().enumerate() {
                 if !active[j] {
                     *dt_slot = 0.0;
                     continue;
                 }
-                let mut dt_step = dt_next[j].min(opts.t_stop - t[j]);
-                for i in 0..n {
-                    let at = i * b + j;
-                    let denom = k1[at].abs() - dv_max * gc[at];
-                    if denom > 0.0 {
-                        dt_step = dt_step.min(dv_max / denom);
-                    }
-                }
-                dt_step = dt_step.max(dt_min).min(opts.t_stop - t[j]);
+                let mut dt_step = dt_slot.max(dt_min).min(opts.t_stop - t[j]);
                 while dt_step > opts.dt && self.source_slew(j, t[j], dt_step, &v) > src_dv_max {
                     dt_step *= 0.5;
                 }
@@ -426,10 +434,15 @@ impl<'a> BatchSim<'a> {
             // Damped predictor for every lane at once (inactive lanes get
             // `dt = 0`, i.e. scratch values that are never read back).
             for i in 0..n {
-                let at = i * b;
+                let (x, a, g, p) = (
+                    &v[self.row(i)],
+                    &k1[self.row(i)],
+                    &gc[self.row(i)],
+                    &mut tmp[self.row(i)],
+                );
                 for j in 0..b {
                     let dt = dts[j];
-                    tmp[at + j] = v[at + j] + k1[at + j] * dt / (1.0 + gc[at + j] * dt);
+                    p[j] = x[j] + a[j] * dt / (1.0 + g[j] * dt);
                 }
             }
             for j in 0..b {
@@ -438,32 +451,55 @@ impl<'a> BatchSim<'a> {
                 }
             }
             self.derivatives(&tmp, &mut k2, None, &mut scratch);
+            // Heun error of the smooth nodes, folded node-major: a `max` of
+            // non-negative terms, where a stiff node contributes `0.0` (the
+            // identity) instead of being skipped.
+            err.fill(0.0);
+            for i in 0..n {
+                let (a, c, g) = (&k1[self.row(i)], &k2[self.row(i)], &gc[self.row(i)]);
+                for j in 0..b {
+                    let dt = dts[j];
+                    let e = if g[j] * dt <= 1.0 {
+                        (c[j] - a[j]).abs() * dt * 0.5
+                    } else {
+                        0.0
+                    };
+                    err[j] = err[j].max(e);
+                }
+            }
             // Accept or retry, per instance.
             for j in 0..b {
-                if !active[j] {
+                let retry = err[j] > dv_max && dts[j] > dt_min * 1.5;
+                accept[j] = active[j] && !retry;
+                if active[j] && retry {
+                    dt_next[j] = (dts[j] * 0.5).max(dt_min);
+                }
+            }
+            // The accepted lanes' update, node-major; a rejected or finished
+            // lane keeps its voltages.
+            for i in 0..n {
+                let (a, c, g, x) = (
+                    &k1[self.row(i)],
+                    &k2[self.row(i)],
+                    &gc[self.row(i)],
+                    &mut v[self.row(i)],
+                );
+                for j in 0..b {
+                    let dt = dts[j];
+                    let r = g[j] * dt;
+                    let step = if r > 1.0 {
+                        a[j] * dt / (1.0 + r)
+                    } else {
+                        0.5 * (a[j] + c[j]) * dt
+                    };
+                    x[j] = if accept[j] { x[j] + step } else { x[j] };
+                }
+            }
+            for j in 0..b {
+                if !accept[j] {
                     continue;
                 }
                 let dt_step = dts[j];
-                let mut err = 0.0f64;
-                for i in 0..n {
-                    let at = i * b + j;
-                    if gc[at] * dt_step <= 1.0 {
-                        err = err.max((k2[at] - k1[at]).abs() * dt_step * 0.5);
-                    }
-                }
-                if err > dv_max && dt_step > dt_min * 1.5 {
-                    dt_next[j] = (dt_step * 0.5).max(dt_min);
-                    continue;
-                }
-                for i in 0..n {
-                    let at = i * b + j;
-                    let r = gc[at] * dt_step;
-                    if r > 1.0 {
-                        v[at] += k1[at] * dt_step / (1.0 + r);
-                    } else {
-                        v[at] += 0.5 * (k1[at] + k2[at]) * dt_step;
-                    }
-                }
                 self.apply_sources(j, t[j] + dt_step, &mut v);
                 t[j] += dt_step;
                 if t[j] + 1e-18 >= next_store[j] {
@@ -471,7 +507,7 @@ impl<'a> BatchSim<'a> {
                     traces[j].push(t[j], &row);
                     next_store[j] = t[j] + opts.store_dt;
                 }
-                dt_next[j] = if err < 0.25 * dv_max {
+                dt_next[j] = if err[j] < 0.25 * dv_max {
                     (dt_step * 2.0).min(dt_max)
                 } else {
                     dt_step.min(dt_max)
@@ -490,24 +526,49 @@ impl<'a> BatchSim<'a> {
     }
 }
 
-/// Per-mosfet evaluation scratch, reused across rounds.
+/// Evaluation scratch, reused across rounds: device terminal biases and
+/// results in `[mos * batch + j]` layout, plus one resistor's currents.
 struct Scratch {
     vgs: Vec<f64>,
     vds: Vec<f64>,
     sgn: Vec<f64>,
     cur: Vec<f64>,
     gds: Vec<f64>,
+    res_cur: Vec<f64>,
 }
 
 impl Scratch {
-    fn new(b: usize) -> Self {
+    fn new(b: usize, mosfets: usize) -> Self {
+        let lanes = b * mosfets;
         Self {
-            vgs: vec![0.0; b],
-            vds: vec![0.0; b],
-            sgn: vec![0.0; b],
-            cur: vec![0.0; b],
-            gds: vec![0.0; b],
+            vgs: vec![0.0; lanes],
+            vds: vec![0.0; lanes],
+            sgn: vec![0.0; lanes],
+            cur: vec![0.0; lanes],
+            gds: vec![0.0; lanes],
+            res_cur: vec![0.0; b],
         }
+    }
+}
+
+/// `dst[j] -= src[j]` lane by lane.
+fn sub_from(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d -= s;
+    }
+}
+
+/// `dst[j] += src[j]` lane by lane.
+fn add_to(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// `dst[j] /= src[j]` lane by lane.
+fn div_by(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d /= s;
     }
 }
 
@@ -616,6 +677,58 @@ mod tests {
             let scalar = c.run(&opts);
             assert_eq!(tr.times(), scalar.times());
             assert_eq!(*tr, scalar);
+        }
+    }
+
+    #[test]
+    fn resistor_and_device_terms_sum_in_the_scalar_order() {
+        // Node `mid` sums three currents every step (one MOSFET in, one
+        // out, one resistor to ground); only the scalar solver's element
+        // order — resistors, then MOSFETs by index — reproduces its bits.
+        let circuits: Vec<Circuit> = (0..6)
+            .map(|i| {
+                let dvt = i as f64 * 0.01 - 0.025;
+                let mut ckt = Circuit::new(Env::nominal());
+                let vdd = ckt.add_source("vdd", Waveform::dc(0.9));
+                let gate = ckt.add_source("g", Waveform::pulse(0.0, 0.9, 80e-12, 300e-12, 20e-12));
+                let out = ckt.add_node("out", 10e-15, 0.9);
+                let mid = ckt.add_node("mid", 4e-15, 0.0);
+                let nmos = Mosfet::nmos(VtFlavor::Rvt, 120.0, 30.0);
+                ckt.add_resistor(vdd, out, 20e3 + 1e3 * i as f64);
+                ckt.add_mosfet(nmos.with_dvt(dvt), out, gate, mid);
+                ckt.add_mosfet(nmos.with_dvt(-dvt), mid, gate, ckt.gnd());
+                ckt.add_resistor(mid, ckt.gnd(), 60e3);
+                ckt
+            })
+            .collect();
+        let opts = SimOptions::for_window(1e-9);
+        let traces = BatchSim::new(&circuits, &opts).unwrap().run();
+        for (c, tr) in circuits.iter().zip(&traces) {
+            assert_eq!(*tr, c.run(&opts));
+        }
+    }
+
+    #[test]
+    fn corrector_retries_match_scalar_bit_for_bit() {
+        // A gate edge far shorter than the base step swings the
+        // pulldown's current inside one step, so the Heun corrector
+        // rejects it and retries smaller; a rejected lane must keep its
+        // voltages while accepted lanes advance.
+        let circuits: Vec<Circuit> = (0..5)
+            .map(|i| {
+                let mut ckt = Circuit::new(Env::nominal());
+                let edge = Waveform::step(0.0, 0.9, 50e-12 + 7e-12 * i as f64, 1e-15);
+                let gate = ckt.add_source("g", edge);
+                let bl = ckt.add_node("bl", 1e-15, 0.9);
+                let nmos = Mosfet::nmos(VtFlavor::Lvt, 400.0, 30.0);
+                ckt.add_mosfet(nmos.with_dvt(0.01 * i as f64), bl, gate, ckt.gnd());
+                ckt
+            })
+            .collect();
+        let opts = SimOptions::for_window(0.3e-9);
+        let traces = BatchSim::new(&circuits, &opts).unwrap().run();
+        for (c, tr) in circuits.iter().zip(&traces) {
+            assert_eq!(*tr, c.run(&opts));
         }
     }
 

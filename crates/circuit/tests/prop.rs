@@ -7,8 +7,10 @@ use proptest::prelude::*;
 
 /// A randomized two-transistor cell-ish circuit: an NMOS pulldown and a
 /// PMOS keeper fighting over a bit-line-like node, at a chosen corner,
-/// supply and mismatch — enough nonlinearity to exercise every branch of
-/// the integrator (stiff damping, corrector retries, source slew walking).
+/// supply and mismatch — enough nonlinearity to exercise stiff damping and
+/// source-slew walking. Corrector retries are covered by the batch unit
+/// test `corrector_retries_match_scalar_bit_for_bit` instead: a build that
+/// commits rejected steps still passes the tests here.
 fn contended_node(
     corner: Corner,
     vdd: f64,

@@ -18,6 +18,13 @@
 //! the batched engine is the property the workspace's reproducibility tests
 //! pin.
 //!
+//! "Pure arithmetic" includes the integer steps: a float-to-int `as` cast
+//! has no vector form (Rust's `as` saturates and maps NaN to 0, which LLVM
+//! lowers to a scalar convert plus fix-ups per lane), so `exp`'s `2^k`
+//! scaling assembles the exponent field with the magic-number addition in
+//! `exp2i` instead, which stays in vector registers and gives the same bits
+//! for every `k` that `exp` can produce.
+//!
 //! Accuracy is ~1 ulp-class (relative error `< 1e-14` over the domains the
 //! device model exercises; see the tests), far below the 28 nm model's own
 //! fidelity. **Domain contract:** arguments are finite; `ln`/`powf` take
@@ -33,11 +40,27 @@ const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
 /// Low part of ln2 (`ln2 - LN2_HI`).
 const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
 
+/// `2^52 + 1023`: adding it to an integral `k` with `|k| <= 1023` leaves
+/// `k + 1023` in the low mantissa bits, exactly (the sum is an integer
+/// below `2^53`, so the addition does not round).
+const EXP2I_MAGIC: f64 = 4_503_599_627_371_519.0;
+
 /// `2^k` for integral `k` in the normal-exponent range, by exponent-field
 /// assembly.
+///
+/// The biased exponent `k + 1023` is formed in floating point with the
+/// magic-number trick instead of a `k as i64` cast: Rust's float-to-int
+/// `as` saturates and maps NaN to 0, and LLVM has no vector form of that,
+/// so the cast would scalarize every lane of a batched device loop. Adding
+/// [`EXP2I_MAGIC`] puts `k + 1023` in the low 11 mantissa bits, and
+/// shifting the bit pattern left by 52 moves exactly those bits into the
+/// exponent field (the magic's own exponent and leading mantissa bits fall
+/// off the top). **Domain:** integral `k` in `-1022..=1023`, where the
+/// result is the same bits as `((k as i64 + 1023) as u64) << 52`; [`exp`]
+/// clamps its argument to `±700`, so its `k` stays within `±1010`.
 #[inline(always)]
 fn exp2i(k: f64) -> f64 {
-    f64::from_bits(((k as i64 + 1023) as u64) << 52)
+    f64::from_bits((k + EXP2I_MAGIC).to_bits() << 52)
 }
 
 /// `e^x`, saturating outside `[-700, 700]` (no overflow/underflow in the
@@ -151,6 +174,33 @@ mod tests {
             worst = worst.max(rel(exp(x), x.exp()));
         }
         assert!(worst < 1e-14, "worst rel err {worst:.2e}");
+    }
+
+    #[test]
+    fn exp2i_matches_the_exponent_field_cast() {
+        for k in -1010..=1010i64 {
+            let kf = k as f64;
+            assert_eq!(
+                exp2i(kf).to_bits(),
+                ((kf as i64 + 1023) as u64) << 52,
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn exp_is_pinned_at_and_beyond_the_clamp() {
+        // The clamp points produce the extreme `k = ±1010` of the range
+        // reduction; everything beyond them saturates to the same value.
+        assert_eq!((700.0 * LOG2_E).round(), 1010.0);
+        assert_eq!(exp(700.0).to_bits(), 0x7f0d_945d_f4f8_ec8e);
+        assert_eq!(exp(-700.0).to_bits(), 0x00d1_4f2b_0fb9_307f);
+        for x in [700.5, 1e3, 1e9, f64::MAX, f64::INFINITY] {
+            assert_eq!(exp(x).to_bits(), exp(700.0).to_bits(), "x = {x}");
+            assert_eq!(exp(-x).to_bits(), exp(-700.0).to_bits(), "x = -{x}");
+        }
+        assert!(rel(exp(700.0), 700.0f64.exp()) < 1e-14);
+        assert!(rel(exp(-700.0), (-700.0f64).exp()) < 1e-14);
     }
 
     #[test]
