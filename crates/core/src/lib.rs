@@ -44,6 +44,8 @@ pub mod activity;
 pub mod bank;
 pub mod config;
 pub mod error;
+#[cfg(test)]
+mod fuzz;
 pub mod isa;
 pub mod json;
 pub mod macrobank;

@@ -1611,188 +1611,281 @@ impl Response {
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
-        let line = req.to_json_line();
-        assert_eq!(Request::parse(&line).unwrap(), req, "{line}");
-        assert_eq!(Request::peek_id(&line), Some(req.id));
+    /// Encodes `req` to exactly `golden` and decodes `golden` back to
+    /// `req`: a codec that reorders or renames fields fails here even when
+    /// its encoder and decoder agree with each other.
+    fn round_trip_request(req: Request, golden: &str) {
+        assert_eq!(req.to_json_line(), golden);
+        assert_eq!(Request::parse(golden).unwrap(), req, "{golden}");
+        assert_eq!(Request::peek_id(golden), Some(req.id));
     }
 
-    fn round_trip_response(resp: Response) {
-        let line = resp.to_json_line();
-        assert_eq!(Response::parse(&line).unwrap(), resp, "{line}");
+    /// [`round_trip_request`]'s twin for responses.
+    fn round_trip_response(resp: Response, golden: &str) {
+        assert_eq!(resp.to_json_line(), golden);
+        assert_eq!(Response::parse(golden).unwrap(), resp, "{golden}");
     }
+
+    /// The wire form of [`every_instr_kind`].
+    const EVERY_INSTR_JSON: &str = r#"[{"i":"write","dst":0,"precision":8,"values":[1,2,3]},{"i":"write_mult","dst":1,"precision":8,"values":[4,5]},{"i":"not","src":0,"dst":2},{"i":"copy","src":2,"dst":3},{"i":"shl","src":3,"dst":4,"precision":8},{"i":"add","a":0,"b":2,"dst":5,"precision":8},{"i":"add_shift","a":0,"b":5,"dst":6,"precision":4},{"i":"sub","a":5,"b":0,"dst":7,"precision":8},{"i":"mult","a":1,"b":1,"dst":8,"precision":8},{"i":"reduce_add","srcs":[0,2,5],"dst":9,"precision":8},{"i":"read","src":9,"precision":8,"n":3},{"i":"read_products","src":8,"precision":8,"n":2},{"i":"and","a":0,"b":2,"dst":10},{"i":"or","a":0,"b":2,"dst":10},{"i":"xor","a":0,"b":2,"dst":10},{"i":"nand","a":0,"b":2,"dst":10},{"i":"nor","a":0,"b":2,"dst":10},{"i":"xnor","a":0,"b":2,"dst":10}]"#;
 
     #[test]
     fn every_request_kind_round_trips() {
-        round_trip_request(Request {
-            id: 1,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::Ping,
-        });
-        round_trip_request(Request {
-            id: 2,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::Dot {
-                precision: Precision::P8,
-                x: vec![1, 2, 3],
-                w: vec![4, 5, 6],
-            },
-        });
-        for op in [
-            LaneOp::Add,
-            LaneOp::Sub,
-            LaneOp::Mult,
-            LaneOp::Logic(LogicOp::And),
-            LaneOp::Logic(LogicOp::Or),
-            LaneOp::Logic(LogicOp::Xor),
-            LaneOp::Logic(LogicOp::Nand),
-            LaneOp::Logic(LogicOp::Nor),
-            LaneOp::Logic(LogicOp::Xnor),
+        for (req, golden) in golden_requests() {
+            round_trip_request(req, &golden);
+        }
+    }
+
+    #[test]
+    fn every_response_kind_round_trips() {
+        for (resp, golden) in golden_responses() {
+            round_trip_response(resp, &golden);
+        }
+    }
+
+    /// One request of every kind with its exact wire line.
+    fn golden_requests() -> Vec<(Request, String)> {
+        let mut cases = vec![
+            (
+                Request {
+                    id: 1,
+                    timeout_ms: None,
+                    seq: None,
+                    body: RequestBody::Ping,
+                },
+                r#"{"id":1,"op":"ping"}"#.to_string(),
+            ),
+            (
+                Request {
+                    id: 2,
+                    timeout_ms: None,
+                    seq: None,
+                    body: RequestBody::Dot {
+                        precision: Precision::P8,
+                        x: vec![1, 2, 3],
+                        w: vec![4, 5, 6],
+                    },
+                },
+                r#"{"id":2,"op":"dot","precision":8,"x":[1,2,3],"w":[4,5,6]}"#.to_string(),
+            ),
+        ];
+        for (op, name) in [
+            (LaneOp::Add, "add"),
+            (LaneOp::Sub, "sub"),
+            (LaneOp::Mult, "mult"),
+            (LaneOp::Logic(LogicOp::And), "and"),
+            (LaneOp::Logic(LogicOp::Or), "or"),
+            (LaneOp::Logic(LogicOp::Xor), "xor"),
+            (LaneOp::Logic(LogicOp::Nand), "nand"),
+            (LaneOp::Logic(LogicOp::Nor), "nor"),
+            (LaneOp::Logic(LogicOp::Xnor), "xnor"),
         ] {
-            round_trip_request(Request {
-                id: 3,
+            let lane_line =
+                format!(r#"{{"id":3,"op":"{name}","precision":4,"a":[1,15],"b":[3,9]}}"#);
+            cases.push((
+                Request {
+                    id: 3,
+                    timeout_ms: None,
+                    seq: None,
+                    body: RequestBody::Lanes {
+                        op,
+                        precision: Precision::P4,
+                        a: vec![1, 15],
+                        b: vec![3, 9],
+                    },
+                },
+                lane_line,
+            ));
+        }
+        cases.extend([
+        (
+            Request {
+                id: 4,
                 timeout_ms: None,
                 seq: None,
-                body: RequestBody::Lanes {
-                    op,
-                    precision: Precision::P4,
-                    a: vec![1, 15],
-                    b: vec![3, 9],
+                body: RequestBody::LoadModel {
+                    precision: Precision::P2,
+                    prototypes: vec![vec![0, 1, 2, 3], vec![3, 2, 1, 0]],
                 },
-            });
-        }
-        round_trip_request(Request {
-            id: 4,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::LoadModel {
-                precision: Precision::P2,
-                prototypes: vec![vec![0, 1, 2, 3], vec![3, 2, 1, 0]],
             },
-        });
-        round_trip_request(Request {
-            id: 5,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::Classify { x: vec![1, 2] },
-        });
-        round_trip_request(Request {
-            id: 9,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::ExecProgram {
-                instrs: every_instr_kind(),
+            r#"{"id":4,"op":"load_model","precision":2,"prototypes":[[0,1,2,3],[3,2,1,0]]}"#
+                .to_string(),
+        ),
+        (
+            Request {
+                id: 5,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::Classify { x: vec![1, 2] },
             },
-        });
-        round_trip_request(Request {
-            id: 10,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::StoreProgram {
-                instrs: every_instr_kind(),
-                name: None,
+            r#"{"id":5,"op":"classify","x":[1,2]}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 9,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::ExecProgram {
+                    instrs: every_instr_kind(),
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 14,
-            timeout_ms: None,
-            seq: Some(3),
-            body: RequestBody::StoreProgram {
-                instrs: every_instr_kind(),
-                name: Some("conv3x3".into()),
+            format!(r#"{{"id":9,"op":"exec_program","instrs":{EVERY_INSTR_JSON}}}"#),
+        ),
+        (
+            Request {
+                id: 10,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::StoreProgram {
+                    instrs: every_instr_kind(),
+                    name: None,
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 13,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::LintProgram {
-                instrs: every_instr_kind(),
+            format!(r#"{{"id":10,"op":"store_program","instrs":{EVERY_INSTR_JSON}}}"#),
+        ),
+        (
+            Request {
+                id: 14,
+                timeout_ms: None,
+                seq: Some(3),
+                body: RequestBody::StoreProgram {
+                    instrs: every_instr_kind(),
+                    name: Some("conv3x3".into()),
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 11,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::RunStored {
-                target: StoredTarget::Pid(3),
-                inputs: vec![],
+            format!(
+                r#"{{"id":14,"seq":3,"op":"store_program","instrs":{EVERY_INSTR_JSON},"name":"conv3x3"}}"#
+            ),
+        ),
+        (
+            Request {
+                id: 13,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::LintProgram {
+                    instrs: every_instr_kind(),
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 12,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::RunStored {
-                target: StoredTarget::Pid(7),
-                inputs: vec![Some(vec![1, 2, 3]), None, Some(vec![]), Some(vec![255])],
+            format!(r#"{{"id":13,"op":"lint_program","instrs":{EVERY_INSTR_JSON}}}"#),
+        ),
+        (
+            Request {
+                id: 11,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::RunStored {
+                    target: StoredTarget::Pid(3),
+                    inputs: vec![],
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 15,
-            timeout_ms: None,
-            seq: Some(9),
-            body: RequestBody::RunStored {
-                target: StoredTarget::Name("conv3x3".into()),
-                inputs: vec![None, Some(vec![4])],
+            r#"{"id":11,"op":"run_stored","pid":3}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 12,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::RunStored {
+                    target: StoredTarget::Pid(7),
+                    inputs: vec![Some(vec![1, 2, 3]), None, Some(vec![]), Some(vec![255])],
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 16,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::ListPrograms,
-        });
-        round_trip_request(Request {
-            id: 17,
-            timeout_ms: None,
-            seq: Some(1),
-            body: RequestBody::DeleteProgram {
-                target: StoredTarget::Name("conv3x3".into()),
+            r#"{"id":12,"op":"run_stored","pid":7,"inputs":[[1,2,3],null,[],[255]]}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 15,
+                timeout_ms: None,
+                seq: Some(9),
+                body: RequestBody::RunStored {
+                    target: StoredTarget::Name("conv3x3".into()),
+                    inputs: vec![None, Some(vec![4])],
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 18,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::DeleteProgram {
-                target: StoredTarget::Pid(2),
+            r#"{"id":15,"seq":9,"op":"run_stored","name":"conv3x3","inputs":[null,[4]]}"#
+                .to_string(),
+        ),
+        (
+            Request {
+                id: 16,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::ListPrograms,
             },
-        });
-        round_trip_request(Request {
-            id: 19,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::OpenSession,
-        });
-        round_trip_request(Request {
-            id: 20,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::ResumeSession {
-                token: "a1b2c3d4e5f60718293a4b5c6d7e8f90".into(),
+            r#"{"id":16,"op":"list_programs"}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 17,
+                timeout_ms: None,
+                seq: Some(1),
+                body: RequestBody::DeleteProgram {
+                    target: StoredTarget::Name("conv3x3".into()),
+                },
             },
-        });
-        round_trip_request(Request {
-            id: 6,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::Stats,
-        });
-        round_trip_request(Request {
-            id: 7,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::InjectPanic,
-        });
-        round_trip_request(Request {
-            id: 8,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::Shutdown,
-        });
+            r#"{"id":17,"seq":1,"op":"delete_program","name":"conv3x3"}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 18,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::DeleteProgram {
+                    target: StoredTarget::Pid(2),
+                },
+            },
+            r#"{"id":18,"op":"delete_program","pid":2}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 19,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::OpenSession,
+            },
+            r#"{"id":19,"op":"open_session"}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 20,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::ResumeSession {
+                    token: "a1b2c3d4e5f60718293a4b5c6d7e8f90".into(),
+                },
+            },
+            r#"{"id":20,"op":"resume_session","token":"a1b2c3d4e5f60718293a4b5c6d7e8f90"}"#
+                .to_string(),
+        ),
+        (
+            Request {
+                id: 6,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::Stats,
+            },
+            r#"{"id":6,"op":"stats"}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 7,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::InjectPanic,
+            },
+            r#"{"id":7,"op":"inject_panic"}"#.to_string(),
+        ),
+        (
+            Request {
+                id: 8,
+                timeout_ms: None,
+                seq: None,
+                body: RequestBody::Shutdown,
+            },
+            r#"{"id":8,"op":"shutdown"}"#.to_string(),
+        ),
+        ]);
+        cases
     }
 
     /// One of each instruction kind (all six logic functions included),
@@ -1881,160 +1974,260 @@ mod tests {
         instrs
     }
 
-    #[test]
-    fn every_response_kind_round_trips() {
-        round_trip_response(Response {
-            id: 1,
-            body: ResponseBody::Pong,
-        });
-        round_trip_response(Response {
-            id: 2,
-            body: ResponseBody::Scalar(u64::MAX),
-        });
-        round_trip_response(Response {
-            id: 3,
-            body: ResponseBody::Words(vec![0, 255, 1 << 40]),
-        });
-        round_trip_response(Response {
-            id: 4,
-            body: ResponseBody::Class(3),
-        });
-        round_trip_response(Response {
-            id: 5,
-            body: ResponseBody::Ok,
-        });
-        round_trip_response(Response {
-            id: 6,
-            body: ResponseBody::Stats(SessionActivity {
-                requests: 12,
-                errors: 1,
-                cycles: 3456,
-                energy_fj: 789.25,
-            }),
-        });
-        round_trip_response(Response {
-            id: 7,
-            body: ResponseBody::Error("no model loaded".into()),
-        });
-        round_trip_response(Response {
-            id: 9,
-            body: ResponseBody::Stored(StoredMeta {
-                pid: 12,
-                cycles: 345,
-                writes: 6,
-                diagnostics: Vec::new(),
-            }),
-        });
-        round_trip_response(Response {
-            id: 10,
-            body: ResponseBody::Stored(StoredMeta {
-                pid: 13,
-                cycles: 7,
-                writes: 2,
-                diagnostics: vec![Diagnostic {
-                    code: "L001".into(),
-                    severity: Severity::Warn,
-                    span: 1..2,
-                    message: "dead store".into(),
-                }],
-            }),
-        });
-        round_trip_response(Response {
-            id: 11,
-            body: ResponseBody::Diagnostics(vec![
-                Diagnostic {
-                    code: "L004".into(),
-                    severity: Severity::Perf,
-                    span: 2..4,
-                    message: "missed fusion".into(),
-                },
-                Diagnostic {
-                    code: "E002".into(),
-                    severity: Severity::Error,
-                    span: 0..1,
-                    message: "use before def".into(),
-                },
-            ]),
-        });
-        round_trip_response(Response {
-            id: 12,
-            body: ResponseBody::Diagnostics(Vec::new()),
-        });
-        round_trip_response(Response {
-            id: 13,
-            body: ResponseBody::Session(SessionInfo {
-                token: "00ff00ff00ff00ff00ff00ff00ff00ff".into(),
-                stats: SessionActivity {
-                    requests: 40,
-                    errors: 2,
-                    cycles: 999,
-                    energy_fj: 1.5,
-                },
-                stored_programs: 3,
-                last_seq: Some(39),
-            }),
-        });
-        round_trip_response(Response {
-            id: 13,
-            body: ResponseBody::Session(SessionInfo {
-                token: "aa".repeat(16),
-                stats: SessionActivity::new(),
-                stored_programs: 0,
-                last_seq: None,
-            }),
-        });
-        round_trip_response(Response {
-            id: 14,
-            body: ResponseBody::Programs(vec![
-                ProgramEntry {
-                    pid: 0,
-                    name: Some("conv3x3".into()),
-                    cycles: 120,
-                    writes: 2,
-                    runs: 7,
+    /// One response of every kind with its exact wire line.
+    fn golden_responses() -> Vec<(Response, String)> {
+        vec![
+        (
+            Response {
+                id: 1,
+                body: ResponseBody::Pong,
+            },
+            r#"{"id":1,"ok":true,"kind":"pong"}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 2,
+                body: ResponseBody::Scalar(u64::MAX),
+            },
+            r#"{"id":2,"ok":true,"kind":"scalar","result":18446744073709551615}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 3,
+                body: ResponseBody::Words(vec![0, 255, 1 << 40]),
+            },
+            r#"{"id":3,"ok":true,"kind":"words","result":[0,255,1099511627776]}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 4,
+                body: ResponseBody::Class(3),
+            },
+            r#"{"id":4,"ok":true,"kind":"class","result":3}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 5,
+                body: ResponseBody::Ok,
+            },
+            r#"{"id":5,"ok":true,"kind":"ok"}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 6,
+                body: ResponseBody::Stats(SessionActivity {
+                    requests: 12,
                     errors: 1,
-                    total_cycles: 840,
-                    total_energy_fj: 123.25,
-                    last_status: Some(RunStatus::Error {
-                        message: "input 0 must have 9 values".into(),
-                    }),
-                },
-                ProgramEntry {
-                    pid: 1,
-                    name: None,
-                    cycles: 3,
-                    writes: 0,
-                    runs: 2,
-                    errors: 0,
-                    total_cycles: 6,
-                    total_energy_fj: 0.5,
-                    last_status: Some(RunStatus::Success),
-                },
-                ProgramEntry {
-                    pid: 2,
-                    name: Some("idle".into()),
-                    cycles: 1,
-                    writes: 1,
-                    runs: 0,
-                    errors: 0,
-                    total_cycles: 0,
-                    total_energy_fj: 0.0,
-                    last_status: None,
-                },
-            ]),
+                    cycles: 3456,
+                    energy_fj: 789.25,
+                }),
+            },
+            r#"{"id":6,"ok":true,"kind":"stats","result":{"requests":12,"errors":1,"cycles":3456,"energy_fj":789.25}}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 7,
+                body: ResponseBody::Error("no model loaded".into()),
+            },
+            r#"{"id":7,"ok":false,"error":"no model loaded"}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 9,
+                body: ResponseBody::Stored(StoredMeta {
+                    pid: 12,
+                    cycles: 345,
+                    writes: 6,
+                    diagnostics: Vec::new(),
+                }),
+            },
+            r#"{"id":9,"ok":true,"kind":"stored","result":{"pid":12,"cycles":345,"writes":6}}"#
+                .to_string(),
+        ),
+        (
+            Response {
+                id: 10,
+                body: ResponseBody::Stored(StoredMeta {
+                    pid: 13,
+                    cycles: 7,
+                    writes: 2,
+                    diagnostics: vec![Diagnostic {
+                        code: "L001".into(),
+                        severity: Severity::Warn,
+                        span: 1..2,
+                        message: "dead store".into(),
+                    }],
+                }),
+            },
+            r#"{"id":10,"ok":true,"kind":"stored","result":{"pid":13,"cycles":7,"writes":2,"diagnostics":[{"code":"L001","severity":"warn","start":1,"end":2,"message":"dead store"}]}}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 11,
+                body: ResponseBody::Diagnostics(vec![
+                    Diagnostic {
+                        code: "L004".into(),
+                        severity: Severity::Perf,
+                        span: 2..4,
+                        message: "missed fusion".into(),
+                    },
+                    Diagnostic {
+                        code: "E002".into(),
+                        severity: Severity::Error,
+                        span: 0..1,
+                        message: "use before def".into(),
+                    },
+                ]),
+            },
+            r#"{"id":11,"ok":true,"kind":"diagnostics","result":[{"code":"L004","severity":"perf","start":2,"end":4,"message":"missed fusion"},{"code":"E002","severity":"error","start":0,"end":1,"message":"use before def"}]}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 12,
+                body: ResponseBody::Diagnostics(Vec::new()),
+            },
+            r#"{"id":12,"ok":true,"kind":"diagnostics","result":[]}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 13,
+                body: ResponseBody::Session(SessionInfo {
+                    token: "00ff00ff00ff00ff00ff00ff00ff00ff".into(),
+                    stats: SessionActivity {
+                        requests: 40,
+                        errors: 2,
+                        cycles: 999,
+                        energy_fj: 1.5,
+                    },
+                    stored_programs: 3,
+                    last_seq: Some(39),
+                }),
+            },
+            r#"{"id":13,"ok":true,"kind":"session","result":{"token":"00ff00ff00ff00ff00ff00ff00ff00ff","requests":40,"errors":2,"cycles":999,"energy_fj":1.5,"stored_programs":3,"last_seq":39}}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 13,
+                body: ResponseBody::Session(SessionInfo {
+                    token: "aa".repeat(16),
+                    stats: SessionActivity::new(),
+                    stored_programs: 0,
+                    last_seq: None,
+                }),
+            },
+            r#"{"id":13,"ok":true,"kind":"session","result":{"token":"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","requests":0,"errors":0,"cycles":0,"energy_fj":0,"stored_programs":0}}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 14,
+                body: ResponseBody::Programs(vec![
+                    ProgramEntry {
+                        pid: 0,
+                        name: Some("conv3x3".into()),
+                        cycles: 120,
+                        writes: 2,
+                        runs: 7,
+                        errors: 1,
+                        total_cycles: 840,
+                        total_energy_fj: 123.25,
+                        last_status: Some(RunStatus::Error {
+                            message: "input 0 must have 9 values".into(),
+                        }),
+                    },
+                    ProgramEntry {
+                        pid: 1,
+                        name: None,
+                        cycles: 3,
+                        writes: 0,
+                        runs: 2,
+                        errors: 0,
+                        total_cycles: 6,
+                        total_energy_fj: 0.5,
+                        last_status: Some(RunStatus::Success),
+                    },
+                    ProgramEntry {
+                        pid: 2,
+                        name: Some("idle".into()),
+                        cycles: 1,
+                        writes: 1,
+                        runs: 0,
+                        errors: 0,
+                        total_cycles: 0,
+                        total_energy_fj: 0.0,
+                        last_status: None,
+                    },
+                ]),
+            },
+            r#"{"id":14,"ok":true,"kind":"programs","result":[{"pid":0,"name":"conv3x3","cycles":120,"writes":2,"runs":7,"errors":1,"total_cycles":840,"total_energy_fj":123.25,"last_status":"error","last_error":"input 0 must have 9 values"},{"pid":1,"cycles":3,"writes":0,"runs":2,"errors":0,"total_cycles":6,"total_energy_fj":0.5,"last_status":"success"},{"pid":2,"name":"idle","cycles":1,"writes":1,"runs":0,"errors":0,"total_cycles":0,"total_energy_fj":0}]}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 15,
+                body: ResponseBody::Programs(Vec::new()),
+            },
+            r#"{"id":15,"ok":true,"kind":"programs","result":[]}"#.to_string(),
+        ),
+        (
+            Response {
+                id: 8,
+                body: ResponseBody::Program(ProgramReport {
+                    outputs: vec![vec![1, 2], vec![3]],
+                    cycles: vec![1, 1, 10, 0, 1],
+                    energy_fj: vec![100.5, 100.5, 2040.25, 0.0, 33.0],
+                }),
+            },
+            r#"{"id":8,"ok":true,"kind":"program","result":{"outputs":[[1,2],[3]],"cycles":[1,1,10,0,1],"energy_fj":[100.5,100.5,2040.25,0,33]}}"#.to_string(),
+        ),
+        ]
+    }
+
+    /// Mutates the golden wire lines and each instruction object through
+    /// every wire decoder: each must answer with a value or an error.
+    fn fuzz_wire_decoders(seed: u64, count: usize) {
+        let mut corpus: Vec<Vec<u8>> = golden_requests()
+            .into_iter()
+            .map(|(_, line)| line.into_bytes())
+            .chain(
+                golden_responses()
+                    .into_iter()
+                    .map(|(_, line)| line.into_bytes()),
+            )
+            .collect();
+        let instrs = Json::parse(EVERY_INSTR_JSON).unwrap();
+        corpus.extend(
+            instrs
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|i| i.to_string().into_bytes()),
+        );
+        crate::fuzz::check_decoders(&corpus, seed, count, |bytes| {
+            let text = String::from_utf8_lossy(bytes);
+            let mut errors: Vec<String> = match Json::parse(&text) {
+                Ok(v) => instr_from_json(&v)
+                    .err()
+                    .map(|e| e.to_string())
+                    .into_iter()
+                    .collect(),
+                Err(e) => vec![e.to_string()],
+            };
+            errors.extend(Request::parse(&text).err().map(|e| e.to_string()));
+            errors.extend(Response::parse(&text).err().map(|e| e.to_string()));
+            errors
         });
-        round_trip_response(Response {
-            id: 15,
-            body: ResponseBody::Programs(Vec::new()),
-        });
-        round_trip_response(Response {
-            id: 8,
-            body: ResponseBody::Program(ProgramReport {
-                outputs: vec![vec![1, 2], vec![3]],
-                cycles: vec![1, 1, 10, 0, 1],
-                energy_fj: vec![100.5, 100.5, 2040.25, 0.0, 33.0],
-            }),
-        });
+    }
+
+    #[test]
+    fn wire_decoders_survive_seeded_mutation() {
+        fuzz_wire_decoders(1, 4000);
+    }
+
+    #[test]
+    #[ignore = "CI fuzz budget; run with --ignored"]
+    fn wire_decoders_survive_seeded_mutation_at_ci_budget() {
+        for seed in 100..116 {
+            fuzz_wire_decoders(seed, 25_000);
+        }
     }
 
     #[test]
@@ -2108,56 +2301,80 @@ mod tests {
 
     #[test]
     fn structured_errors_round_trip() {
-        round_trip_response(Response {
-            id: 20,
-            body: ResponseBody::Error(ErrorBody::limit(
-                LimitKind::CycleRate,
-                Some(750),
-                "session cycle budget exhausted",
-            )),
-        });
-        round_trip_response(Response {
-            id: 21,
-            body: ResponseBody::Error(ErrorBody::limit(
-                LimitKind::ProgramLength,
-                None,
-                "program too long",
-            )),
-        });
-        round_trip_response(Response {
-            id: 22,
-            body: ResponseBody::Error(ErrorBody::overloaded(Some(50), "server overloaded")),
-        });
-        round_trip_response(Response {
-            id: 23,
-            body: ResponseBody::Error(ErrorBody::deadline("deadline expired in queue")),
-        });
-        round_trip_response(Response {
-            id: 24,
-            body: ResponseBody::Error(ErrorBody::invalid_program(
-                "E002",
-                Some(3),
-                "instruction 3 reads register r1 before any write",
-            )),
-        });
-        round_trip_response(Response {
-            id: 25,
-            body: ResponseBody::Error(ErrorBody::invalid_program(
-                "E001",
-                None,
-                "program needs 200 registers but the macro has 125 rows",
-            )),
-        });
-        round_trip_response(Response {
-            id: 26,
-            body: ResponseBody::Error(ErrorBody::session_expired(
-                "session expired 31s ago; open a fresh one",
-            )),
-        });
-        round_trip_response(Response {
-            id: 27,
-            body: ResponseBody::Error(ErrorBody::bad_token("unknown session token")),
-        });
+        round_trip_response(
+            Response {
+                id: 20,
+                body: ResponseBody::Error(ErrorBody::limit(
+                    LimitKind::CycleRate,
+                    Some(750),
+                    "session cycle budget exhausted",
+                )),
+            },
+            r#"{"id":20,"ok":false,"error":"session cycle budget exhausted","kind":"limit_exceeded","limit":"cycle_rate","retry_after_ms":750}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 21,
+                body: ResponseBody::Error(ErrorBody::limit(
+                    LimitKind::ProgramLength,
+                    None,
+                    "program too long",
+                )),
+            },
+            r#"{"id":21,"ok":false,"error":"program too long","kind":"limit_exceeded","limit":"program_length"}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 22,
+                body: ResponseBody::Error(ErrorBody::overloaded(Some(50), "server overloaded")),
+            },
+            r#"{"id":22,"ok":false,"error":"server overloaded","kind":"overloaded","retry_after_ms":50}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 23,
+                body: ResponseBody::Error(ErrorBody::deadline("deadline expired in queue")),
+            },
+            r#"{"id":23,"ok":false,"error":"deadline expired in queue","kind":"deadline_exceeded"}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 24,
+                body: ResponseBody::Error(ErrorBody::invalid_program(
+                    "E002",
+                    Some(3),
+                    "instruction 3 reads register r1 before any write",
+                )),
+            },
+            r#"{"id":24,"ok":false,"error":"instruction 3 reads register r1 before any write","kind":"invalid_program","code":"E002","index":3}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 25,
+                body: ResponseBody::Error(ErrorBody::invalid_program(
+                    "E001",
+                    None,
+                    "program needs 200 registers but the macro has 125 rows",
+                )),
+            },
+            r#"{"id":25,"ok":false,"error":"program needs 200 registers but the macro has 125 rows","kind":"invalid_program","code":"E001"}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 26,
+                body: ResponseBody::Error(ErrorBody::session_expired(
+                    "session expired 31s ago; open a fresh one",
+                )),
+            },
+            r#"{"id":26,"ok":false,"error":"session expired 31s ago; open a fresh one","kind":"session_expired"}"#,
+        );
+        round_trip_response(
+            Response {
+                id: 27,
+                body: ResponseBody::Error(ErrorBody::bad_token("unknown session token")),
+            },
+            r#"{"id":27,"ok":false,"error":"unknown session token","kind":"bad_token"}"#,
+        );
         for limit in [
             LimitKind::CycleRate,
             LimitKind::EnergyRate,

@@ -134,6 +134,9 @@
 mod client;
 mod exec;
 mod fault;
+#[cfg(test)]
+#[path = "../../core/src/fuzz.rs"]
+mod fuzz;
 mod guard;
 #[cfg(feature = "model")]
 pub mod models;

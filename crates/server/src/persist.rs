@@ -1920,60 +1920,159 @@ mod tests {
         );
     }
 
+    /// One event of every kind (and every billing) with its exact journal
+    /// line.
+    fn golden_events() -> Vec<(Event, &'static str)> {
+        vec![
+            (
+                Event::Open {
+                    token: "t".into(),
+                    record: Box::new(sample_record()),
+                },
+                r#"{"ev":"open","token":"t","record":{"token":"cafe","requests":2,"errors":1,"cycles":7,"energy_bits":4608308318706860032,"next_pid":3,"rate":{"start_ms":1000,"cycles":7,"energy_bits":4608308318706860032},"model":{"precision":8,"prototypes":[[1,2],[3,4]]},"last_seq":9,"detached_since_ms":42,"programs":[{"pid":2,"name":"p","instrs":[{"i":"write","dst":0,"precision":8,"values":[1,2]},{"i":"read","src":0,"precision":8,"n":2}],"runs":4,"errors":1,"total_cycles":40,"total_energy_bits":4599075939470750516,"status":{"ok":false,"message":"boom"}}],"replay":[{"seq":9,"response":"{\"id\":0,\"ok\":true,\"kind\":\"scalar\",\"result\":42}"}]}}"#,
+            ),
+            (
+                Event::Attach { token: "t".into() },
+                r#"{"ev":"attach","token":"t"}"#,
+            ),
+            (
+                Event::Detach {
+                    token: "t".into(),
+                    unix_ms: 123,
+                },
+                r#"{"ev":"detach","token":"t","at_ms":123}"#,
+            ),
+            (
+                Event::Expire { token: "t".into() },
+                r#"{"ev":"expire","token":"t"}"#,
+            ),
+            (
+                Event::Model {
+                    token: "t".into(),
+                    precision_bits: 8,
+                    prototypes: vec![vec![1, 2]],
+                },
+                r#"{"ev":"model","token":"t","precision":8,"prototypes":[[1,2]]}"#,
+            ),
+            (
+                Event::Store {
+                    token: "t".into(),
+                    pid: 1,
+                    name: None,
+                    instrs: sample_record().programs[0].instrs.clone(),
+                },
+                r#"{"ev":"store","token":"t","pid":1,"instrs":[{"i":"write","dst":0,"precision":8,"values":[1,2]},{"i":"read","src":0,"precision":8,"n":2}]}"#,
+            ),
+            (
+                Event::Delete {
+                    token: "t".into(),
+                    pid: 1,
+                },
+                r#"{"ev":"delete","token":"t","pid":1}"#,
+            ),
+            (
+                Event::Exec {
+                    token: "t".into(),
+                    billing: BillingRecord::Ok {
+                        cycles: 3,
+                        energy_fj: 0.3,
+                    },
+                    ran_pid: Some(1),
+                    seq: Some(0),
+                    response: Some("{}".into()),
+                    unix_ms: 5,
+                },
+                r#"{"ev":"exec","token":"t","billing":"ok","cycles":3,"energy_bits":4599075939470750515,"ran_pid":1,"seq":0,"response":"{}","at_ms":5}"#,
+            ),
+            (
+                Event::Exec {
+                    token: "t".into(),
+                    billing: BillingRecord::Error {
+                        message: "nope".into(),
+                    },
+                    ran_pid: None,
+                    seq: None,
+                    response: None,
+                    unix_ms: 6,
+                },
+                r#"{"ev":"exec","token":"t","billing":"error","message":"nope","at_ms":6}"#,
+            ),
+            (
+                Event::Exec {
+                    token: "t".into(),
+                    billing: BillingRecord::None,
+                    ran_pid: None,
+                    seq: Some(4),
+                    response: Some("{}".into()),
+                    unix_ms: 7,
+                },
+                r#"{"ev":"exec","token":"t","billing":"none","seq":4,"response":"{}","at_ms":7}"#,
+            ),
+        ]
+    }
+
+    /// Every event kind encodes to exactly its golden journal line and
+    /// decodes back: the journal format is pinned, not just self-consistent.
     #[test]
     fn events_roundtrip_through_their_wire_form() {
-        let events = vec![
-            Event::Open {
-                token: "t".into(),
-                record: Box::new(sample_record()),
-            },
-            Event::Attach { token: "t".into() },
-            Event::Detach {
-                token: "t".into(),
-                unix_ms: 123,
-            },
-            Event::Expire { token: "t".into() },
-            Event::Model {
-                token: "t".into(),
-                precision_bits: 8,
-                prototypes: vec![vec![1, 2]],
-            },
-            Event::Store {
-                token: "t".into(),
-                pid: 1,
-                name: None,
-                instrs: sample_record().programs[0].instrs.clone(),
-            },
-            Event::Delete {
-                token: "t".into(),
-                pid: 1,
-            },
-            Event::Exec {
-                token: "t".into(),
-                billing: BillingRecord::Ok {
-                    cycles: 3,
-                    energy_fj: 0.3,
-                },
-                ran_pid: Some(1),
-                seq: Some(0),
-                response: Some("{}".into()),
-                unix_ms: 5,
-            },
-            Event::Exec {
-                token: "t".into(),
-                billing: BillingRecord::Error {
-                    message: "nope".into(),
-                },
-                ran_pid: None,
-                seq: None,
-                response: None,
-                unix_ms: 6,
-            },
-        ];
-        for ev in events {
-            let back =
-                event_from_json(&Json::parse(&event_json(&ev).to_string()).unwrap()).unwrap();
+        for (ev, golden) in golden_events() {
+            assert_eq!(event_json(&ev).to_string(), golden);
+            let back = event_from_json(&Json::parse(golden).unwrap()).unwrap();
             assert_eq!(back, ev);
+        }
+    }
+
+    /// Mutates golden event payloads, a snapshot and a framed journal
+    /// through the frame reader and every journal decoder. Each payload is
+    /// also re-framed with a valid CRC so the damage reaches the JSON
+    /// decoders instead of stopping at the checksum.
+    fn fuzz_journal_decoders(seed: u64, count: usize) {
+        let mut corpus: Vec<Vec<u8>> = golden_events()
+            .into_iter()
+            .map(|(_, line)| line.as_bytes().to_vec())
+            .collect();
+        let reg = RegistryRecord {
+            sessions: vec![sample_record()],
+            expired: vec!["dead".into()],
+            mint_counter: 3,
+        };
+        corpus.push(snapshot_json(&reg, 1).to_string().into_bytes());
+        let mut journal = Vec::new();
+        for payload in &corpus {
+            write_frame(&mut journal, payload).unwrap();
+        }
+        corpus.push(journal);
+        crate::fuzz::check_decoders(&corpus, seed, count, |bytes| {
+            let (mut payloads, corruption) = read_frames(bytes);
+            let mut errors: Vec<String> = corruption.map(|c| c.reason).into_iter().collect();
+            payloads.push(bytes.to_vec());
+            for payload in payloads {
+                let mut framed = Vec::new();
+                write_frame(&mut framed, &payload).unwrap();
+                let (frames, corruption) = read_frames(&framed);
+                assert_eq!((frames.len(), corruption), (1, None));
+                match Json::parse(&String::from_utf8_lossy(&payload)) {
+                    Ok(v) => {
+                        errors.extend(event_from_json(&v).err());
+                        errors.extend(snapshot_from_json(&v).err());
+                    }
+                    Err(e) => errors.push(e.to_string()),
+                }
+            }
+            errors
+        });
+    }
+
+    #[test]
+    fn journal_decoders_survive_seeded_mutation() {
+        fuzz_journal_decoders(1, 3000);
+    }
+
+    #[test]
+    #[ignore = "CI fuzz budget; run with --ignored"]
+    fn journal_decoders_survive_seeded_mutation_at_ci_budget() {
+        for seed in 100..116 {
+            fuzz_journal_decoders(seed, 20_000);
         }
     }
 

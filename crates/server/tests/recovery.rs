@@ -503,3 +503,77 @@ fn interval_fsync_with_graceful_shutdown_loses_nothing() {
     drop(b);
     handle.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// A checked-in crash image pins the on-disk format
+// ---------------------------------------------------------------------
+
+/// The crash image under `tests/fixtures/crash_image`, written by a live
+/// server under `fsync always` and copied mid-run: snapshot generation 1
+/// plus the journal tail written after it. The snapshot holds session A
+/// (a P8 model, stored program `dots` with one billed run, a 4-entry
+/// replay window). The tail holds every event kind: A's `attach`, a P4
+/// `model` and a classify, the `store` of `adds` and its run, a failed run
+/// of `dots`, the `delete` of `dots`, session B's `open`, one billed dot,
+/// its `detach` and its TTL `expire`, and a final billed ping on A.
+const FIXTURE_TOKEN_A: &str = "b6edf37d95ae9675a08c0ab1f003c74a";
+const FIXTURE_TOKEN_B: &str = "522a3eb32d42723bca7828b819f97905";
+
+#[test]
+fn checked_in_crash_image_recovers_bit_for_bit() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/crash_image");
+    // Recovery writes into its directory: work on a copy.
+    let dir = crash_image(&fixture, "fixture");
+    let account = SessionActivity {
+        requests: 11,
+        errors: 1,
+        cycles: 105,
+        energy_fj: f64::from_bits(0x410b_f8ab_f3b4_8f00),
+    };
+
+    let audit = inspect(&dir).expect("inspect the fixture");
+    assert!(!audit.corrupt(), "{:?}", audit.corruptions);
+    assert!(!audit.warm, "a crash image has no clean-shutdown marker");
+    assert_eq!(audit.chosen_snapshot, Some(1));
+    assert_eq!(audit.replayed_events, 15);
+    assert_eq!(audit.sessions.len(), 1, "B expired inside the tail");
+    let a = &audit.sessions[0];
+    assert_eq!(a.token, FIXTURE_TOKEN_A);
+    assert_eq!(a.stats, account);
+    assert_eq!(a.stats.energy_fj.to_bits(), account.energy_fj.to_bits());
+    assert_eq!(a.programs, 1);
+    assert_eq!(a.last_seq, Some(10));
+    assert_eq!(a.replay, 11);
+    assert_eq!(a.detached_since_ms, None);
+
+    let handle = start(persistent_config(&dir));
+    let mut c = Client::connect(handle.local_addr()).expect("connect recovered");
+    let info = c.resume_session(FIXTURE_TOKEN_A).expect("resume A");
+    assert_eq!(info.stats, account);
+    assert_eq!(info.stats.energy_fj.to_bits(), account.energy_fj.to_bits());
+    assert_eq!(info.stored_programs, 1);
+    assert_eq!(info.last_seq, Some(10));
+    let programs = c.list_programs().expect("list_programs");
+    assert_eq!(programs.len(), 1);
+    let adds = &programs[0];
+    assert_eq!((adds.pid, adds.name.as_deref()), (2, Some("adds")));
+    assert_eq!((adds.cycles, adds.writes), (4, 2));
+    assert_eq!((adds.runs, adds.errors, adds.total_cycles), (1, 0, 4));
+    assert_eq!(adds.total_energy_fj.to_bits(), 4_664_837_844_413_601_212);
+    assert_eq!(adds.last_status, Some(bpimc_core::RunStatus::Success));
+    // The P4 model from the tail, not the snapshot's P8 one, is live.
+    assert_eq!(c.classify(&[1, 2, 3, 4]).expect("classify"), 0);
+    let rerun = c
+        .run_stored_named("adds", &[Some(vec![5, 6]), None])
+        .expect("run the recovered program");
+    assert_eq!(rerun.outputs, vec![vec![8, 10]]);
+    drop(c);
+
+    let mut d = Client::connect(handle.local_addr()).expect("connect for B");
+    match d.resume_session(FIXTURE_TOKEN_B) {
+        Err(ClientError::Server(err)) => assert_eq!(err.kind, ErrorKind::SessionExpired),
+        other => panic!("B was swept before the crash, got {other:?}"),
+    }
+    drop(d);
+    handle.shutdown();
+}
