@@ -1,8 +1,10 @@
-//! A minimal, dependency-free JSON value with parser and serializer.
+//! A minimal, dependency-free JSON value with parser and serializer, plus
+//! the one codec idiom every message type in the crate family uses.
 //!
-//! The compute service speaks line-delimited JSON over TCP, and the build
-//! image has no crates.io access, so `serde_json` is not an option. This
-//! module implements exactly the subset the wire protocol needs:
+//! The compute service speaks line-delimited JSON over TCP and journals
+//! its durable state as JSON, and the build image has no crates.io access,
+//! so `serde_json` is not an option. This module implements exactly the
+//! subset the wire protocol and the journal need:
 //!
 //! * Unsigned integers are kept **exact** as `u64` (`Json::UInt`) rather
 //!   than routed through `f64` — P32 products occupy the full 64-bit range
@@ -14,15 +16,46 @@
 //! * Parsing depth is limited (64 levels) so a malicious client cannot
 //!   overflow the server's stack with `[[[[…]]]]`.
 //!
+//! # The codec idiom
+//!
+//! Every message type — wire requests and responses, program
+//! instructions, journal events, snapshots — is encoded and decoded the
+//! same way:
+//!
+//! * **Encode** with the object builder: [`Json::object`] then
+//!   [`ObjBuilder::field`] per member, in wire order, and
+//!   [`ObjBuilder::field_opt`] for members omitted when `None`. Values are
+//!   anything `Into<Json>`: `u64`, `usize`, `u32`, `f64`, `bool`,
+//!   `String`, or a reference to any [`ToJson`] type (`&str`, `&[u64]`,
+//!   `&Vec<Instr>`, …).
+//! * **Decode** with the typed field readers: [`Json::req`] for a required
+//!   member and [`Json::opt`] for an optional one (absent or `null` is
+//!   `None`; a wrong type is still an error). Both decode through
+//!   [`FromJson`], so the same call reads a `u64`, a `&str`, an array, a
+//!   `Vec<Instr>` or a nested record, and every failure is one
+//!   [`FieldError`] naming the field ("missing field 'x'", "field 'x'
+//!   must be a non-negative integer", …).
+//! * **Value types** implement [`ToJson`] and [`FromJson`] once, next to
+//!   their vocabulary, and every container of them (`Vec<T>`, `Option<T>`)
+//!   follows.
+//!
 //! # Examples
 //!
 //! ```
 //! use bpimc_core::json::Json;
 //!
 //! let v = Json::parse(r#"{"op":"dot","x":[1,2,3]}"#).unwrap();
-//! assert_eq!(v.get("op").and_then(Json::as_str), Some("dot"));
-//! assert_eq!(v.get("x").unwrap().as_array().unwrap().len(), 3);
-//! assert_eq!(v.to_string(), r#"{"op":"dot","x":[1,2,3]}"#);
+//! assert_eq!(v.req::<&str>("op"), Ok("dot"));
+//! assert_eq!(v.req::<Vec<u64>>("x"), Ok(vec![1, 2, 3]));
+//! assert_eq!(v.opt::<u64>("seq"), Ok(None));
+//! assert!(v.req::<u64>("op").is_err());
+//!
+//! let line = Json::object()
+//!     .field("op", "dot")
+//!     .field("x", &[1u64, 2, 3][..])
+//!     .field_opt("seq", None::<u64>)
+//!     .build();
+//! assert_eq!(line.to_string(), r#"{"op":"dot","x":[1,2,3]}"#);
 //! ```
 
 use std::fmt;
@@ -143,6 +176,283 @@ impl Json {
     /// Convenience: an array of exact `u64`s (`None` if any element isn't).
     pub fn as_u64_array(&self) -> Option<Vec<u64>> {
         self.as_array()?.iter().map(Json::as_u64).collect()
+    }
+}
+
+/// Builds a JSON object one member at a time, in order ([`Json::object`]).
+#[derive(Debug, Default)]
+#[must_use]
+pub struct ObjBuilder(Vec<(String, Json)>);
+
+impl ObjBuilder {
+    /// Appends member `key`.
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Self {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Appends member `key` when `value` is `Some`; omits it otherwise.
+    pub fn field_opt<V: Into<Json>>(self, key: &str, value: Option<V>) -> Self {
+        match value {
+            Some(v) => self.field(key, v),
+            None => self,
+        }
+    }
+
+    /// The finished object.
+    pub fn build(self) -> Json {
+        Json::Obj(self.0)
+    }
+}
+
+impl From<ObjBuilder> for Json {
+    fn from(b: ObjBuilder) -> Json {
+        b.build()
+    }
+}
+
+/// Encoding into a [`Json`] value.
+pub trait ToJson {
+    /// The JSON form of `self`.
+    fn to_json(&self) -> Json;
+}
+
+/// Decoding from the [`Json`] value of one field. `key` names the field
+/// in error messages; the lifetime lets borrowed forms (`&str`, `&[Json]`,
+/// `&Json`) decode without copying.
+pub trait FromJson<'a>: Sized {
+    /// Decodes `v`, the value of field `key`.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming `key` when `v` has the wrong shape.
+    fn from_json(v: &'a Json, key: &str) -> Result<Self, FieldError>;
+}
+
+/// A missing or ill-shaped field; the message names it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(pub String);
+
+impl FieldError {
+    fn expected(key: &str, what: &str) -> FieldError {
+        FieldError(format!("field '{key}' must be {what}"))
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.0
+    }
+}
+
+impl Json {
+    /// An empty object builder.
+    pub fn object() -> ObjBuilder {
+        ObjBuilder::default()
+    }
+
+    /// Required member `key`, decoded as `T`.
+    ///
+    /// # Errors
+    ///
+    /// "missing field 'key'", or `T`'s error when the value has the wrong
+    /// shape.
+    pub fn req<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, FieldError> {
+        match self.get(key) {
+            Some(v) => T::from_json(v, key),
+            None => Err(FieldError(format!("missing field '{key}'"))),
+        }
+    }
+
+    /// Optional member `key`: absent or `null` is `None`.
+    ///
+    /// # Errors
+    ///
+    /// `T`'s error when the member is present with the wrong shape.
+    pub fn opt<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, FieldError> {
+        match self.get(key) {
+            Some(v) => Option::from_json(v, key),
+            None => Ok(None),
+        }
+    }
+}
+
+impl<'a> FromJson<'a> for &'a Json {
+    fn from_json(v: &'a Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(v)
+    }
+}
+
+impl FromJson<'_> for u64 {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        v.as_u64()
+            .ok_or_else(|| FieldError::expected(key, "a non-negative integer"))
+    }
+}
+
+impl FromJson<'_> for u32 {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        u32::try_from(u64::from_json(v, key)?)
+            .map_err(|_| FieldError(format!("field '{key}' out of range")))
+    }
+}
+
+impl FromJson<'_> for usize {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        usize::try_from(u64::from_json(v, key)?)
+            .map_err(|_| FieldError(format!("field '{key}' out of range")))
+    }
+}
+
+impl FromJson<'_> for f64 {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        v.as_f64()
+            .ok_or_else(|| FieldError::expected(key, "a number"))
+    }
+}
+
+impl FromJson<'_> for bool {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        v.as_bool()
+            .ok_or_else(|| FieldError::expected(key, "a bool"))
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    fn from_json(v: &'a Json, key: &str) -> Result<Self, FieldError> {
+        v.as_str()
+            .ok_or_else(|| FieldError::expected(key, "a string"))
+    }
+}
+
+impl FromJson<'_> for String {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        <&str>::from_json(v, key).map(str::to_string)
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [Json] {
+    fn from_json(v: &'a Json, key: &str) -> Result<Self, FieldError> {
+        v.as_array()
+            .ok_or_else(|| FieldError::expected(key, "an array"))
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(v: &'a Json, key: &str) -> Result<Self, FieldError> {
+        <&[Json]>::from_json(v, key)?
+            .iter()
+            .map(|item| T::from_json(item, key))
+            .collect()
+    }
+}
+
+/// `null` decodes to `None`.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(v: &'a Json, key: &str) -> Result<Self, FieldError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v, key).map(Some),
+        }
+    }
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> Json {
+        Json::UInt(*self)
+    }
+}
+
+impl ToJson for u32 {
+    fn to_json(&self) -> Json {
+        Json::UInt(u64::from(*self))
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Json {
+        Json::UInt(*self as u64)
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Float(*self)
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+}
+
+/// `None` encodes as `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+impl<T: ToJson + ?Sized> From<&T> for Json {
+    fn from(v: &T) -> Json {
+        v.to_json()
+    }
+}
+
+macro_rules! json_from_scalar {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                v.to_json()
+            }
+        }
+    )*};
+}
+
+json_from_scalar!(u64, u32, usize, f64, bool);
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
     }
 }
 

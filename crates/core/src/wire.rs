@@ -161,7 +161,7 @@
 //! ```
 
 use crate::activity::SessionActivity;
-use crate::json::Json;
+use crate::json::{FieldError, FromJson, Json, ObjBuilder, ToJson};
 use crate::prog::analysis::{Diagnostic, Severity};
 use crate::prog::{Instr, ProgError, Reg};
 use bpimc_periph::{LogicOp, Precision};
@@ -750,403 +750,416 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn wire_err(msg: impl Into<String>) -> WireError {
-    WireError(msg.into())
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    v.get(key)
-        .ok_or_else(|| wire_err(format!("missing field '{key}'")))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, WireError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| wire_err(format!("field '{key}' must be a non-negative integer")))
-}
-
-fn words_field(v: &Json, key: &str) -> Result<Vec<u64>, WireError> {
-    field(v, key)?
-        .as_u64_array()
-        .ok_or_else(|| wire_err(format!("field '{key}' must be an array of integers")))
-}
-
-fn precision_field(v: &Json) -> Result<Precision, WireError> {
-    let bits = u64_field(v, "precision")?;
-    Precision::try_from_bits(bits as usize)
-        .map_err(|_| wire_err(format!("unsupported precision {bits} (use 2/4/8/16/32)")))
-}
-
-fn words_json(words: &[u64]) -> Json {
-    Json::Arr(words.iter().map(|&w| Json::UInt(w)).collect())
-}
-
-fn reg_field(v: &Json, key: &str) -> Result<Reg, WireError> {
-    let n = u64_field(v, key)?;
-    u16::try_from(n)
-        .map(Reg)
-        .map_err(|_| wire_err(format!("register '{key}' out of range")))
-}
-
-fn regs_field(v: &Json, key: &str) -> Result<Vec<Reg>, WireError> {
-    words_field(v, key)?
-        .into_iter()
-        .map(|n| {
-            u16::try_from(n)
-                .map(Reg)
-                .map_err(|_| wire_err(format!("register in '{key}' out of range")))
-        })
-        .collect()
-}
-
-fn usize_field(v: &Json, key: &str) -> Result<usize, WireError> {
-    usize::try_from(u64_field(v, key)?).map_err(|_| wire_err(format!("field '{key}' out of range")))
-}
-
-fn reg_json(r: Reg) -> Json {
-    Json::UInt(r.0 as u64)
-}
-
-/// Serializes one program instruction to its wire object (see the module
-/// docs for the vocabulary). Public so the server's persistence layer can
-/// journal submitted instruction streams in the exact wire vocabulary —
-/// one representation, one parser, whether a program arrives over TCP or
-/// out of a recovery journal.
-pub fn instr_to_json(instr: &Instr) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
-    match instr {
-        Instr::Write {
-            dst,
-            precision,
-            values,
-        }
-        | Instr::WriteMult {
-            dst,
-            precision,
-            values,
-        } => {
-            push("i", Json::Str(instr.name().into()));
-            push("dst", reg_json(*dst));
-            push("precision", Json::UInt(precision.bits() as u64));
-            push("values", words_json(values));
-        }
-        Instr::Read { src, precision, n } | Instr::ReadProducts { src, precision, n } => {
-            push("i", Json::Str(instr.name().into()));
-            push("src", reg_json(*src));
-            push("precision", Json::UInt(precision.bits() as u64));
-            push("n", Json::UInt(*n as u64));
-        }
-        Instr::Logic { a, b, dst, .. } => {
-            push("i", Json::Str(instr.name().into()));
-            push("a", reg_json(*a));
-            push("b", reg_json(*b));
-            push("dst", reg_json(*dst));
-        }
-        Instr::Not { src, dst } | Instr::Copy { src, dst } => {
-            push("i", Json::Str(instr.name().into()));
-            push("src", reg_json(*src));
-            push("dst", reg_json(*dst));
-        }
-        Instr::Shl {
-            src,
-            dst,
-            precision,
-        } => {
-            push("i", Json::Str("shl".into()));
-            push("src", reg_json(*src));
-            push("dst", reg_json(*dst));
-            push("precision", Json::UInt(precision.bits() as u64));
-        }
-        Instr::Add {
-            a,
-            b,
-            dst,
-            precision,
-        }
-        | Instr::AddShift {
-            a,
-            b,
-            dst,
-            precision,
-        }
-        | Instr::Sub {
-            a,
-            b,
-            dst,
-            precision,
-        }
-        | Instr::Mult {
-            a,
-            b,
-            dst,
-            precision,
-        } => {
-            push("i", Json::Str(instr.name().into()));
-            push("a", reg_json(*a));
-            push("b", reg_json(*b));
-            push("dst", reg_json(*dst));
-            push("precision", Json::UInt(precision.bits() as u64));
-        }
-        Instr::ReduceAdd {
-            srcs,
-            dst,
-            precision,
-        } => {
-            push("i", Json::Str("reduce_add".into()));
-            push(
-                "srcs",
-                Json::Arr(srcs.iter().map(|&r| reg_json(r)).collect()),
-            );
-            push("dst", reg_json(*dst));
-            push("precision", Json::UInt(precision.bits() as u64));
-        }
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> WireError {
+        WireError(e.0)
     }
-    Json::Obj(fields)
+}
+
+impl ToJson for Precision {
+    fn to_json(&self) -> Json {
+        self.bits().to_json()
+    }
+}
+
+impl FromJson<'_> for Precision {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        let bits = usize::from_json(v, key)?;
+        Precision::try_from_bits(bits)
+            .map_err(|_| FieldError(format!("unsupported precision {bits} (use 2/4/8/16/32)")))
+    }
+}
+
+impl ToJson for Reg {
+    fn to_json(&self) -> Json {
+        u64::from(self.0).to_json()
+    }
+}
+
+impl FromJson<'_> for Reg {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        u16::try_from(u64::from_json(v, key)?)
+            .map(Reg)
+            .map_err(|_| FieldError(format!("register '{key}' out of range")))
+    }
+}
+
+/// One program instruction as its wire object (see the module docs for
+/// the vocabulary): the name under `"i"`, then its operands.
+impl ToJson for Instr {
+    fn to_json(&self) -> Json {
+        let obj = Json::object().field("i", self.name());
+        match self {
+            Instr::Write {
+                dst,
+                precision,
+                values,
+            }
+            | Instr::WriteMult {
+                dst,
+                precision,
+                values,
+            } => obj
+                .field("dst", dst)
+                .field("precision", precision)
+                .field("values", values),
+            Instr::Read { src, precision, n } | Instr::ReadProducts { src, precision, n } => obj
+                .field("src", src)
+                .field("precision", precision)
+                .field("n", *n),
+            Instr::Logic { a, b, dst, .. } => obj.field("a", a).field("b", b).field("dst", dst),
+            Instr::Not { src, dst } | Instr::Copy { src, dst } => {
+                obj.field("src", src).field("dst", dst)
+            }
+            Instr::Shl {
+                src,
+                dst,
+                precision,
+            } => obj
+                .field("src", src)
+                .field("dst", dst)
+                .field("precision", precision),
+            Instr::Add {
+                a,
+                b,
+                dst,
+                precision,
+            }
+            | Instr::AddShift {
+                a,
+                b,
+                dst,
+                precision,
+            }
+            | Instr::Sub {
+                a,
+                b,
+                dst,
+                precision,
+            }
+            | Instr::Mult {
+                a,
+                b,
+                dst,
+                precision,
+            } => obj
+                .field("a", a)
+                .field("b", b)
+                .field("dst", dst)
+                .field("precision", precision),
+            Instr::ReduceAdd {
+                srcs,
+                dst,
+                precision,
+            } => obj
+                .field("srcs", srcs)
+                .field("dst", dst)
+                .field("precision", precision),
+        }
+        .build()
+    }
+}
+
+impl FromJson<'_> for Instr {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(match v.req("i")? {
+            "write" => Instr::Write {
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+                values: v.req("values")?,
+            },
+            "write_mult" => Instr::WriteMult {
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+                values: v.req("values")?,
+            },
+            "read" => Instr::Read {
+                src: v.req("src")?,
+                precision: v.req("precision")?,
+                n: v.req("n")?,
+            },
+            "read_products" => Instr::ReadProducts {
+                src: v.req("src")?,
+                precision: v.req("precision")?,
+                n: v.req("n")?,
+            },
+            "not" => Instr::Not {
+                src: v.req("src")?,
+                dst: v.req("dst")?,
+            },
+            "copy" => Instr::Copy {
+                src: v.req("src")?,
+                dst: v.req("dst")?,
+            },
+            "shl" => Instr::Shl {
+                src: v.req("src")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            "add" => Instr::Add {
+                a: v.req("a")?,
+                b: v.req("b")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            "add_shift" => Instr::AddShift {
+                a: v.req("a")?,
+                b: v.req("b")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            "sub" => Instr::Sub {
+                a: v.req("a")?,
+                b: v.req("b")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            "mult" => Instr::Mult {
+                a: v.req("a")?,
+                b: v.req("b")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            "reduce_add" => Instr::ReduceAdd {
+                srcs: v.req("srcs")?,
+                dst: v.req("dst")?,
+                precision: v.req("precision")?,
+            },
+            other => match LaneOp::from_name(other) {
+                Some(LaneOp::Logic(op)) => Instr::Logic {
+                    op,
+                    a: v.req("a")?,
+                    b: v.req("b")?,
+                    dst: v.req("dst")?,
+                },
+                _ => return Err(FieldError(format!("unknown instruction '{other}'"))),
+            },
+        })
+    }
+}
+
+/// Serializes one program instruction to its wire object. Public so the
+/// server's persistence layer journals submitted instruction streams in
+/// the exact wire vocabulary — one representation, one parser, whether a
+/// program arrives over TCP or out of a recovery journal.
+pub fn instr_to_json(instr: &Instr) -> Json {
+    instr.to_json()
 }
 
 /// Parses one program instruction from its wire object — the inverse of
-/// [`instr_to_json`], shared by the request parser and the server's
-/// recovery path.
+/// [`instr_to_json`].
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] naming the missing or malformed field.
 pub fn instr_from_json(v: &Json) -> Result<Instr, WireError> {
-    let name = field(v, "i")?
-        .as_str()
-        .ok_or_else(|| wire_err("instruction field 'i' must be a string"))?;
-    Ok(match name {
-        "write" => Instr::Write {
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-            values: words_field(v, "values")?,
-        },
-        "write_mult" => Instr::WriteMult {
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-            values: words_field(v, "values")?,
-        },
-        "read" => Instr::Read {
-            src: reg_field(v, "src")?,
-            precision: precision_field(v)?,
-            n: usize_field(v, "n")?,
-        },
-        "read_products" => Instr::ReadProducts {
-            src: reg_field(v, "src")?,
-            precision: precision_field(v)?,
-            n: usize_field(v, "n")?,
-        },
-        "not" => Instr::Not {
-            src: reg_field(v, "src")?,
-            dst: reg_field(v, "dst")?,
-        },
-        "copy" => Instr::Copy {
-            src: reg_field(v, "src")?,
-            dst: reg_field(v, "dst")?,
-        },
-        "shl" => Instr::Shl {
-            src: reg_field(v, "src")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        "add" => Instr::Add {
-            a: reg_field(v, "a")?,
-            b: reg_field(v, "b")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        "add_shift" => Instr::AddShift {
-            a: reg_field(v, "a")?,
-            b: reg_field(v, "b")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        "sub" => Instr::Sub {
-            a: reg_field(v, "a")?,
-            b: reg_field(v, "b")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        "mult" => Instr::Mult {
-            a: reg_field(v, "a")?,
-            b: reg_field(v, "b")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        "reduce_add" => Instr::ReduceAdd {
-            srcs: regs_field(v, "srcs")?,
-            dst: reg_field(v, "dst")?,
-            precision: precision_field(v)?,
-        },
-        other => match LaneOp::from_name(other) {
-            Some(LaneOp::Logic(op)) => Instr::Logic {
-                op,
-                a: reg_field(v, "a")?,
-                b: reg_field(v, "b")?,
-                dst: reg_field(v, "dst")?,
-            },
-            _ => return Err(wire_err(format!("unknown instruction '{other}'"))),
-        },
-    })
+    Ok(Instr::from_json(v, "instrs")?)
 }
 
 /// Parses the `pid`-or-`name` address shared by `run_stored` and
 /// `delete_program` (exactly one must be present).
-fn stored_target_field(v: &Json) -> Result<StoredTarget, WireError> {
+fn stored_target(v: &Json) -> Result<StoredTarget, FieldError> {
     match (v.get("pid"), v.get("name")) {
-        (Some(p), None) => p
-            .as_u64()
-            .map(StoredTarget::Pid)
-            .ok_or_else(|| wire_err("field 'pid' must be a non-negative integer")),
-        (None, Some(n)) => n
-            .as_str()
-            .map(|s| StoredTarget::Name(s.to_string()))
-            .ok_or_else(|| wire_err("field 'name' must be a string")),
-        _ => Err(wire_err(
-            "exactly one of 'pid' or 'name' must address the stored program",
+        (Some(_), None) => v.req("pid").map(StoredTarget::Pid),
+        (None, Some(_)) => v.req("name").map(StoredTarget::Name),
+        _ => Err(FieldError(
+            "exactly one of 'pid' or 'name' must address the stored program".into(),
         )),
     }
 }
 
-fn stored_target_json(target: &StoredTarget, push: &mut impl FnMut(&str, Json)) {
+fn with_target(obj: ObjBuilder, target: &StoredTarget) -> ObjBuilder {
     match target {
-        StoredTarget::Pid(pid) => push("pid", Json::UInt(*pid)),
-        StoredTarget::Name(name) => push("name", Json::Str(name.clone())),
+        StoredTarget::Pid(pid) => obj.field("pid", *pid),
+        StoredTarget::Name(name) => obj.field("name", name),
     }
 }
 
-/// Parses the `instrs` array shared by `exec_program`, `store_program`
-/// and `lint_program`.
-fn instrs_field(v: &Json) -> Result<Vec<Instr>, WireError> {
-    field(v, "instrs")?
-        .as_array()
-        .ok_or_else(|| wire_err("field 'instrs' must be an array"))?
-        .iter()
-        .map(instr_from_json)
-        .collect()
+impl ToJson for Diagnostic {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("code", &self.code)
+            .field("severity", self.severity.name())
+            .field("start", self.span.start)
+            .field("end", self.span.end)
+            .field("message", &self.message)
+            .build()
+    }
 }
 
-/// Serializes one lint diagnostic to its wire object.
-fn diag_to_json(d: &Diagnostic) -> Json {
-    Json::Obj(vec![
-        ("code".to_string(), Json::Str(d.code.clone())),
-        ("severity".to_string(), Json::Str(d.severity.name().into())),
-        ("start".to_string(), Json::UInt(d.span.start as u64)),
-        ("end".to_string(), Json::UInt(d.span.end as u64)),
-        ("message".to_string(), Json::Str(d.message.clone())),
-    ])
+impl FromJson<'_> for Diagnostic {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        let severity = Severity::from_name(v.req("severity")?).ok_or_else(|| {
+            FieldError("diagnostic field 'severity' must be error/warn/perf".into())
+        })?;
+        Ok(Diagnostic {
+            code: v.req("code")?,
+            severity,
+            span: v.req("start")?..v.req("end")?,
+            message: v.req("message")?,
+        })
+    }
 }
 
-/// Parses one lint diagnostic from its wire object.
-fn diag_from_json(v: &Json) -> Result<Diagnostic, WireError> {
-    let severity = field(v, "severity")?
-        .as_str()
-        .and_then(Severity::from_name)
-        .ok_or_else(|| wire_err("diagnostic field 'severity' must be error/warn/perf"))?;
-    Ok(Diagnostic {
-        code: field(v, "code")?
-            .as_str()
-            .ok_or_else(|| wire_err("diagnostic field 'code' must be a string"))?
-            .to_string(),
-        severity,
-        span: usize_field(v, "start")?..usize_field(v, "end")?,
-        message: field(v, "message")?
-            .as_str()
-            .ok_or_else(|| wire_err("diagnostic field 'message' must be a string"))?
-            .to_string(),
-    })
-}
-
-fn diags_json(diags: &[Diagnostic]) -> Json {
-    Json::Arr(diags.iter().map(diag_to_json).collect())
-}
-
-fn diags_from_json(v: &Json, what: &str) -> Result<Vec<Diagnostic>, WireError> {
-    v.as_array()
-        .ok_or_else(|| wire_err(format!("{what} must be an array")))?
-        .iter()
-        .map(diag_from_json)
-        .collect()
-}
-
-/// Parses the flat `requests`/`errors`/`cycles`/`energy_fj` account shape
+/// Appends the flat `requests`/`errors`/`cycles`/`energy_fj` account shape
 /// shared by `stats` and `session` results.
-fn activity_from_json(r: &Json) -> Result<SessionActivity, WireError> {
-    Ok(SessionActivity {
-        requests: u64_field(r, "requests")?,
-        errors: u64_field(r, "errors")?,
-        cycles: u64_field(r, "cycles")?,
-        energy_fj: field(r, "energy_fj")?
-            .as_f64()
-            .ok_or_else(|| wire_err("field 'energy_fj' must be a number"))?,
-    })
+fn with_activity(obj: ObjBuilder, s: &SessionActivity) -> ObjBuilder {
+    obj.field("requests", s.requests)
+        .field("errors", s.errors)
+        .field("cycles", s.cycles)
+        .field("energy_fj", s.energy_fj)
 }
 
-fn activity_json_fields(s: &SessionActivity, fields: &mut Vec<(String, Json)>) {
-    fields.push(("requests".to_string(), Json::UInt(s.requests)));
-    fields.push(("errors".to_string(), Json::UInt(s.errors)));
-    fields.push(("cycles".to_string(), Json::UInt(s.cycles)));
-    fields.push(("energy_fj".to_string(), Json::Float(s.energy_fj)));
-}
-
-/// Serializes one registry entry to its wire object.
-fn program_entry_to_json(e: &ProgramEntry) -> Json {
-    let mut fields = vec![("pid".to_string(), Json::UInt(e.pid))];
-    if let Some(name) = &e.name {
-        fields.push(("name".to_string(), Json::Str(name.clone())));
+impl FromJson<'_> for SessionActivity {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(SessionActivity {
+            requests: v.req("requests")?,
+            errors: v.req("errors")?,
+            cycles: v.req("cycles")?,
+            energy_fj: v.req("energy_fj")?,
+        })
     }
-    fields.push(("cycles".to_string(), Json::UInt(e.cycles)));
-    fields.push(("writes".to_string(), Json::UInt(e.writes)));
-    fields.push(("runs".to_string(), Json::UInt(e.runs)));
-    fields.push(("errors".to_string(), Json::UInt(e.errors)));
-    fields.push(("total_cycles".to_string(), Json::UInt(e.total_cycles)));
-    fields.push((
-        "total_energy_fj".to_string(),
-        Json::Float(e.total_energy_fj),
-    ));
-    match &e.last_status {
-        None => {}
-        Some(RunStatus::Success) => {
-            fields.push(("last_status".to_string(), Json::Str("success".into())));
-        }
-        Some(RunStatus::Error { message }) => {
-            fields.push(("last_status".to_string(), Json::Str("error".into())));
-            fields.push(("last_error".to_string(), Json::Str(message.clone())));
-        }
-    }
-    Json::Obj(fields)
 }
 
-/// Parses one registry entry from its wire object.
-fn program_entry_from_json(v: &Json) -> Result<ProgramEntry, WireError> {
-    let last_status = match v.get("last_status") {
-        None | Some(Json::Null) => None,
-        Some(s) => match s.as_str() {
+impl ToJson for SessionInfo {
+    fn to_json(&self) -> Json {
+        with_activity(Json::object().field("token", &self.token), &self.stats)
+            .field("stored_programs", self.stored_programs)
+            .field_opt("last_seq", self.last_seq)
+            .build()
+    }
+}
+
+impl FromJson<'_> for SessionInfo {
+    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+        Ok(SessionInfo {
+            token: v.req("token")?,
+            stats: SessionActivity::from_json(v, key)?,
+            stored_programs: v.req("stored_programs")?,
+            last_seq: v.opt("last_seq")?,
+        })
+    }
+}
+
+impl ToJson for StoredMeta {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("pid", self.pid)
+            .field("cycles", self.cycles)
+            .field("writes", self.writes)
+            .field_opt(
+                "diagnostics",
+                (!self.diagnostics.is_empty()).then_some(&self.diagnostics),
+            )
+            .build()
+    }
+}
+
+impl FromJson<'_> for StoredMeta {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(StoredMeta {
+            pid: v.req("pid")?,
+            cycles: v.req("cycles")?,
+            writes: v.req("writes")?,
+            diagnostics: v.opt("diagnostics")?.unwrap_or_default(),
+        })
+    }
+}
+
+impl ToJson for ProgramReport {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("outputs", &self.outputs)
+            .field("cycles", &self.cycles)
+            .field("energy_fj", &self.energy_fj)
+            .build()
+    }
+}
+
+impl FromJson<'_> for ProgramReport {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(ProgramReport {
+            outputs: v.req("outputs")?,
+            cycles: v.req("cycles")?,
+            energy_fj: v.req("energy_fj")?,
+        })
+    }
+}
+
+/// One registry entry; the wire encodes its run status as `last_status`
+/// (`"success"`/`"error"`) plus `last_error` for a failed run.
+impl ToJson for ProgramEntry {
+    fn to_json(&self) -> Json {
+        let (status, error) = match &self.last_status {
+            None => (None, None),
+            Some(RunStatus::Success) => (Some("success"), None),
+            Some(RunStatus::Error { message }) => (Some("error"), Some(message)),
+        };
+        Json::object()
+            .field("pid", self.pid)
+            .field_opt("name", self.name.as_ref())
+            .field("cycles", self.cycles)
+            .field("writes", self.writes)
+            .field("runs", self.runs)
+            .field("errors", self.errors)
+            .field("total_cycles", self.total_cycles)
+            .field("total_energy_fj", self.total_energy_fj)
+            .field_opt("last_status", status)
+            .field_opt("last_error", error)
+            .build()
+    }
+}
+
+impl FromJson<'_> for ProgramEntry {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        let last_status = match v.opt("last_status")? {
+            None => None,
             Some("success") => Some(RunStatus::Success),
             Some("error") => Some(RunStatus::Error {
-                message: v
-                    .get("last_error")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                message: v.opt("last_error")?.unwrap_or_default(),
             }),
-            _ => return Err(wire_err("field 'last_status' must be success or error")),
-        },
-    };
-    Ok(ProgramEntry {
-        pid: u64_field(v, "pid")?,
-        name: v.get("name").and_then(Json::as_str).map(|s| s.to_string()),
-        cycles: u64_field(v, "cycles")?,
-        writes: u64_field(v, "writes")?,
-        runs: u64_field(v, "runs")?,
-        errors: u64_field(v, "errors")?,
-        total_cycles: u64_field(v, "total_cycles")?,
-        total_energy_fj: field(v, "total_energy_fj")?
-            .as_f64()
-            .ok_or_else(|| wire_err("field 'total_energy_fj' must be a number"))?,
-        last_status,
-    })
+            Some(_) => {
+                return Err(FieldError(
+                    "field 'last_status' must be success or error".into(),
+                ))
+            }
+        };
+        Ok(ProgramEntry {
+            pid: v.req("pid")?,
+            name: v.opt("name")?,
+            cycles: v.req("cycles")?,
+            writes: v.req("writes")?,
+            runs: v.req("runs")?,
+            errors: v.req("errors")?,
+            total_cycles: v.req("total_cycles")?,
+            total_energy_fj: v.req("total_energy_fj")?,
+            last_status,
+        })
+    }
+}
+
+impl RequestBody {
+    /// The wire name of this request kind (its `"op"`).
+    fn op(&self) -> &'static str {
+        match self {
+            RequestBody::Ping => "ping",
+            RequestBody::Dot { .. } => "dot",
+            RequestBody::Lanes { op, .. } => op.name(),
+            RequestBody::LoadModel { .. } => "load_model",
+            RequestBody::Classify { .. } => "classify",
+            RequestBody::ExecProgram { .. } => "exec_program",
+            RequestBody::StoreProgram { .. } => "store_program",
+            RequestBody::RunStored { .. } => "run_stored",
+            RequestBody::ListPrograms => "list_programs",
+            RequestBody::DeleteProgram { .. } => "delete_program",
+            RequestBody::OpenSession => "open_session",
+            RequestBody::ResumeSession { .. } => "resume_session",
+            RequestBody::LintProgram { .. } => "lint_program",
+            RequestBody::Stats => "stats",
+            RequestBody::InjectPanic => "inject_panic",
+            RequestBody::Shutdown => "shutdown",
+        }
+    }
 }
 
 impl Request {
@@ -1156,9 +1169,7 @@ impl Request {
     /// type) — the server answers such lines with the documented sentinel
     /// id 0, since the protocol has no way to address a reply otherwise.
     pub fn peek_id(line: &str) -> Option<u64> {
-        Json::parse(line)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_u64))
+        Json::parse(line).ok()?.req("id").ok()
     }
 
     /// Parses one request line.
@@ -1168,98 +1179,48 @@ impl Request {
     /// Returns a description of the first problem (bad JSON, missing or
     /// ill-typed field, unknown op).
     pub fn parse(line: &str) -> Result<Request, WireError> {
-        let v = Json::parse(line.trim()).map_err(|e| wire_err(e.to_string()))?;
-        let id = u64_field(&v, "id")?;
-        let timeout_ms = match v.get("timeout_ms") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(
-                t.as_u64()
-                    .ok_or_else(|| wire_err("field 'timeout_ms' must be a non-negative integer"))?,
-            ),
-        };
-        let seq = match v.get("seq") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(
-                s.as_u64()
-                    .ok_or_else(|| wire_err("field 'seq' must be a non-negative integer"))?,
-            ),
-        };
-        let op = field(&v, "op")?
-            .as_str()
-            .ok_or_else(|| wire_err("field 'op' must be a string"))?;
-        let body = match op {
+        let v = Json::parse(line.trim()).map_err(|e| WireError(e.to_string()))?;
+        let id = v.req("id")?;
+        let timeout_ms = v.opt("timeout_ms")?;
+        let seq = v.opt("seq")?;
+        let body = match v.req("op")? {
             "ping" => RequestBody::Ping,
             "dot" => RequestBody::Dot {
-                precision: precision_field(&v)?,
-                x: words_field(&v, "x")?,
-                w: words_field(&v, "w")?,
+                precision: v.req("precision")?,
+                x: v.req("x")?,
+                w: v.req("w")?,
             },
-            "load_model" => {
-                let protos = field(&v, "prototypes")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'prototypes' must be an array"))?;
-                let prototypes = protos
-                    .iter()
-                    .map(|p| {
-                        p.as_u64_array()
-                            .ok_or_else(|| wire_err("each prototype must be an array of integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                RequestBody::LoadModel {
-                    precision: precision_field(&v)?,
-                    prototypes,
-                }
-            }
-            "classify" => RequestBody::Classify {
-                x: words_field(&v, "x")?,
+            "load_model" => RequestBody::LoadModel {
+                precision: v.req("precision")?,
+                prototypes: v.req("prototypes")?,
             },
+            "classify" => RequestBody::Classify { x: v.req("x")? },
             "exec_program" => RequestBody::ExecProgram {
-                instrs: instrs_field(&v)?,
+                instrs: v.req("instrs")?,
             },
             "store_program" => RequestBody::StoreProgram {
-                instrs: instrs_field(&v)?,
-                name: match v.get("name") {
-                    None | Some(Json::Null) => None,
-                    Some(n) => Some(
-                        n.as_str()
-                            .ok_or_else(|| wire_err("field 'name' must be a string"))?
-                            .to_string(),
-                    ),
-                },
+                instrs: v.req("instrs")?,
+                name: v.opt("name")?,
             },
             "lint_program" => RequestBody::LintProgram {
-                instrs: instrs_field(&v)?,
+                instrs: v.req("instrs")?,
             },
-            "run_stored" => {
-                let inputs = match v.get("inputs") {
-                    None | Some(Json::Null) => Vec::new(),
-                    Some(arr) => arr
-                        .as_array()
-                        .ok_or_else(|| wire_err("field 'inputs' must be an array"))?
-                        .iter()
-                        .map(|e| match e {
-                            Json::Null => Ok(None),
-                            other => other.as_u64_array().map(Some).ok_or_else(|| {
-                                wire_err("each input must be an array of integers or null")
-                            }),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                RequestBody::RunStored {
-                    target: stored_target_field(&v)?,
-                    inputs,
-                }
-            }
+            "run_stored" => RequestBody::RunStored {
+                inputs: v
+                    .opt("inputs")
+                    .map_err(|_| {
+                        WireError("field 'inputs' must be an array of integers or null".into())
+                    })?
+                    .unwrap_or_default(),
+                target: stored_target(&v)?,
+            },
             "list_programs" => RequestBody::ListPrograms,
             "delete_program" => RequestBody::DeleteProgram {
-                target: stored_target_field(&v)?,
+                target: stored_target(&v)?,
             },
             "open_session" => RequestBody::OpenSession,
             "resume_session" => RequestBody::ResumeSession {
-                token: field(&v, "token")?
-                    .as_str()
-                    .ok_or_else(|| wire_err("field 'token' must be a string"))?
-                    .to_string(),
+                token: v.req("token")?,
             },
             "stats" => RequestBody::Stats,
             "inject_panic" => RequestBody::InjectPanic,
@@ -1267,11 +1228,11 @@ impl Request {
             other => match LaneOp::from_name(other) {
                 Some(op) => RequestBody::Lanes {
                     op,
-                    precision: precision_field(&v)?,
-                    a: words_field(&v, "a")?,
-                    b: words_field(&v, "b")?,
+                    precision: v.req("precision")?,
+                    a: v.req("a")?,
+                    b: v.req("b")?,
                 },
-                None => return Err(wire_err(format!("unknown op '{other}'"))),
+                None => return Err(WireError(format!("unknown op '{other}'"))),
             },
         };
         Ok(Request {
@@ -1284,105 +1245,49 @@ impl Request {
 
     /// Serializes the request to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut fields = vec![("id".to_string(), Json::UInt(self.id))];
-        if let Some(t) = self.timeout_ms {
-            fields.push(("timeout_ms".to_string(), Json::UInt(t)));
-        }
-        if let Some(s) = self.seq {
-            fields.push(("seq".to_string(), Json::UInt(s)));
-        }
-        let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
+        let obj = Json::object()
+            .field("id", self.id)
+            .field_opt("timeout_ms", self.timeout_ms)
+            .field_opt("seq", self.seq)
+            .field("op", self.body.op());
         match &self.body {
-            RequestBody::Ping => push("op", Json::Str("ping".into())),
-            RequestBody::Dot { precision, x, w } => {
-                push("op", Json::Str("dot".into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push("x", words_json(x));
-                push("w", words_json(w));
-            }
+            RequestBody::Ping
+            | RequestBody::ListPrograms
+            | RequestBody::OpenSession
+            | RequestBody::Stats
+            | RequestBody::InjectPanic
+            | RequestBody::Shutdown => obj,
+            RequestBody::Dot { precision, x, w } => obj
+                .field("precision", precision)
+                .field("x", x)
+                .field("w", w),
             RequestBody::Lanes {
-                op,
-                precision,
-                a,
-                b,
-            } => {
-                push("op", Json::Str(op.name().into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push("a", words_json(a));
-                push("b", words_json(b));
-            }
+                precision, a, b, ..
+            } => obj
+                .field("precision", precision)
+                .field("a", a)
+                .field("b", b),
             RequestBody::LoadModel {
                 precision,
                 prototypes,
-            } => {
-                push("op", Json::Str("load_model".into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push(
-                    "prototypes",
-                    Json::Arr(prototypes.iter().map(|p| words_json(p)).collect()),
-                );
-            }
-            RequestBody::Classify { x } => {
-                push("op", Json::Str("classify".into()));
-                push("x", words_json(x));
-            }
-            RequestBody::ExecProgram { instrs } => {
-                push("op", Json::Str("exec_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
+            } => obj
+                .field("precision", precision)
+                .field("prototypes", prototypes),
+            RequestBody::Classify { x } => obj.field("x", x),
+            RequestBody::ExecProgram { instrs } | RequestBody::LintProgram { instrs } => {
+                obj.field("instrs", instrs)
             }
             RequestBody::StoreProgram { instrs, name } => {
-                push("op", Json::Str("store_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
-                if let Some(name) = name {
-                    push("name", Json::Str(name.clone()));
-                }
-            }
-            RequestBody::LintProgram { instrs } => {
-                push("op", Json::Str("lint_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
+                obj.field("instrs", instrs).field_opt("name", name.as_ref())
             }
             RequestBody::RunStored { target, inputs } => {
-                push("op", Json::Str("run_stored".into()));
-                stored_target_json(target, &mut push);
-                if !inputs.is_empty() {
-                    push(
-                        "inputs",
-                        Json::Arr(
-                            inputs
-                                .iter()
-                                .map(|e| match e {
-                                    None => Json::Null,
-                                    Some(ws) => words_json(ws),
-                                })
-                                .collect(),
-                        ),
-                    );
-                }
+                with_target(obj, target).field_opt("inputs", (!inputs.is_empty()).then_some(inputs))
             }
-            RequestBody::ListPrograms => push("op", Json::Str("list_programs".into())),
-            RequestBody::DeleteProgram { target } => {
-                push("op", Json::Str("delete_program".into()));
-                stored_target_json(target, &mut push);
-            }
-            RequestBody::OpenSession => push("op", Json::Str("open_session".into())),
-            RequestBody::ResumeSession { token } => {
-                push("op", Json::Str("resume_session".into()));
-                push("token", Json::Str(token.clone()));
-            }
-            RequestBody::Stats => push("op", Json::Str("stats".into())),
-            RequestBody::InjectPanic => push("op", Json::Str("inject_panic".into())),
-            RequestBody::Shutdown => push("op", Json::Str("shutdown".into())),
+            RequestBody::DeleteProgram { target } => with_target(obj, target),
+            RequestBody::ResumeSession { token } => obj.field("token", token),
         }
-        Json::Obj(fields).to_string()
+        .build()
+        .to_string()
     }
 }
 
@@ -1393,217 +1298,77 @@ impl Response {
     ///
     /// Returns a description of the first problem.
     pub fn parse(line: &str) -> Result<Response, WireError> {
-        let v = Json::parse(line.trim()).map_err(|e| wire_err(e.to_string()))?;
-        let id = u64_field(&v, "id")?;
-        let ok = field(&v, "ok")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field 'ok' must be a bool"))?;
-        if !ok {
-            let msg = field(&v, "error")?
-                .as_str()
-                .ok_or_else(|| wire_err("field 'error' must be a string"))?;
+        let v = Json::parse(line.trim()).map_err(|e| WireError(e.to_string()))?;
+        let id = v.req("id")?;
+        if !v.req::<bool>("ok")? {
             // Unknown kinds/limits from a newer server degrade to generic
             // rather than failing the parse.
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(ErrorKind::from_name)
-                .unwrap_or_default();
-            let limit = v
-                .get("limit")
-                .and_then(Json::as_str)
-                .and_then(LimitKind::from_name);
-            let retry_after_ms = v.get("retry_after_ms").and_then(Json::as_u64);
-            let code = v.get("code").and_then(Json::as_str).map(|s| s.to_string());
-            let index = v.get("index").and_then(Json::as_u64);
+            let name = |key| v.get(key).and_then(Json::as_str);
+            let body = ErrorBody {
+                kind: name("kind")
+                    .and_then(ErrorKind::from_name)
+                    .unwrap_or_default(),
+                limit: name("limit").and_then(LimitKind::from_name),
+                retry_after_ms: v.opt("retry_after_ms")?,
+                code: v.opt("code")?,
+                index: v.opt("index")?,
+                message: v.req("error")?,
+            };
             return Ok(Response {
                 id,
-                body: ResponseBody::Error(ErrorBody {
-                    kind,
-                    limit,
-                    retry_after_ms,
-                    code,
-                    index,
-                    message: msg.to_string(),
-                }),
+                body: ResponseBody::Error(body),
             });
         }
-        let kind = field(&v, "kind")?
-            .as_str()
-            .ok_or_else(|| wire_err("field 'kind' must be a string"))?;
-        let body = match kind {
+        let body = match v.req("kind")? {
             "pong" => ResponseBody::Pong,
             "ok" => ResponseBody::Ok,
-            "scalar" => ResponseBody::Scalar(u64_field(&v, "result")?),
-            "words" => ResponseBody::Words(words_field(&v, "result")?),
-            "class" => ResponseBody::Class(
-                u64_field(&v, "result")?
-                    .try_into()
-                    .map_err(|_| wire_err("class index out of range"))?,
-            ),
-            "program" => {
-                let r = field(&v, "result")?;
-                let outputs = field(r, "outputs")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'outputs' must be an array"))?
-                    .iter()
-                    .map(|o| {
-                        o.as_u64_array()
-                            .ok_or_else(|| wire_err("each output must be an array of integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let energy_fj = field(r, "energy_fj")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'energy_fj' must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_f64()
-                            .ok_or_else(|| wire_err("each energy entry must be a number"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                ResponseBody::Program(ProgramReport {
-                    outputs,
-                    cycles: words_field(r, "cycles")?,
-                    energy_fj,
-                })
-            }
-            "stored" => {
-                let r = field(&v, "result")?;
-                ResponseBody::Stored(StoredMeta {
-                    pid: u64_field(r, "pid")?,
-                    cycles: u64_field(r, "cycles")?,
-                    writes: u64_field(r, "writes")?,
-                    diagnostics: match r.get("diagnostics") {
-                        None | Some(Json::Null) => Vec::new(),
-                        Some(d) => diags_from_json(d, "field 'diagnostics'")?,
-                    },
-                })
-            }
-            "diagnostics" => {
-                ResponseBody::Diagnostics(diags_from_json(field(&v, "result")?, "field 'result'")?)
-            }
-            "stats" => ResponseBody::Stats(activity_from_json(field(&v, "result")?)?),
-            "session" => {
-                let r = field(&v, "result")?;
-                ResponseBody::Session(SessionInfo {
-                    token: field(r, "token")?
-                        .as_str()
-                        .ok_or_else(|| wire_err("field 'token' must be a string"))?
-                        .to_string(),
-                    stats: activity_from_json(r)?,
-                    stored_programs: u64_field(r, "stored_programs")?,
-                    last_seq: match r.get("last_seq") {
-                        None | Some(Json::Null) => None,
-                        Some(s) => Some(
-                            s.as_u64()
-                                .ok_or_else(|| wire_err("field 'last_seq' must be a u64"))?,
-                        ),
-                    },
-                })
-            }
-            "programs" => ResponseBody::Programs(
-                field(&v, "result")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'result' must be an array"))?
-                    .iter()
-                    .map(program_entry_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            other => return Err(wire_err(format!("unknown response kind '{other}'"))),
+            "scalar" => ResponseBody::Scalar(v.req("result")?),
+            "words" => ResponseBody::Words(v.req("result")?),
+            "class" => ResponseBody::Class(v.req("result")?),
+            "program" => ResponseBody::Program(v.req("result")?),
+            "stored" => ResponseBody::Stored(v.req("result")?),
+            "diagnostics" => ResponseBody::Diagnostics(v.req("result")?),
+            "stats" => ResponseBody::Stats(v.req("result")?),
+            "session" => ResponseBody::Session(v.req("result")?),
+            "programs" => ResponseBody::Programs(v.req("result")?),
+            other => return Err(WireError(format!("unknown response kind '{other}'"))),
         };
         Ok(Response { id, body })
     }
 
     /// Serializes the response to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut fields = vec![("id".to_string(), Json::UInt(self.id))];
-        let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
-        match &self.body {
+        let obj = Json::object().field("id", self.id);
+        let (kind, result) = match &self.body {
             ResponseBody::Error(e) => {
-                push("ok", Json::Bool(false));
-                push("error", Json::Str(e.message.clone()));
-                if let Some(kind) = e.kind.name() {
-                    push("kind", Json::Str(kind.into()));
-                }
-                if let Some(limit) = e.limit {
-                    push("limit", Json::Str(limit.name().into()));
-                }
-                if let Some(ms) = e.retry_after_ms {
-                    push("retry_after_ms", Json::UInt(ms));
-                }
-                if let Some(code) = &e.code {
-                    push("code", Json::Str(code.clone()));
-                }
-                if let Some(index) = e.index {
-                    push("index", Json::UInt(index));
-                }
+                return obj
+                    .field("ok", false)
+                    .field("error", &e.message)
+                    .field_opt("kind", e.kind.name())
+                    .field_opt("limit", e.limit.map(|l| l.name()))
+                    .field_opt("retry_after_ms", e.retry_after_ms)
+                    .field_opt("code", e.code.as_ref())
+                    .field_opt("index", e.index)
+                    .build()
+                    .to_string()
             }
-            body => {
-                push("ok", Json::Bool(true));
-                let (kind, result) = match body {
-                    ResponseBody::Pong => ("pong", None),
-                    ResponseBody::Ok => ("ok", None),
-                    ResponseBody::Scalar(n) => ("scalar", Some(Json::UInt(*n))),
-                    ResponseBody::Words(ws) => ("words", Some(words_json(ws))),
-                    ResponseBody::Class(c) => ("class", Some(Json::UInt(*c as u64))),
-                    ResponseBody::Program(r) => (
-                        "program",
-                        Some(Json::Obj(vec![
-                            (
-                                "outputs".to_string(),
-                                Json::Arr(r.outputs.iter().map(|o| words_json(o)).collect()),
-                            ),
-                            ("cycles".to_string(), words_json(&r.cycles)),
-                            (
-                                "energy_fj".to_string(),
-                                Json::Arr(r.energy_fj.iter().map(|&e| Json::Float(e)).collect()),
-                            ),
-                        ])),
-                    ),
-                    ResponseBody::Stored(s) => {
-                        let mut fields = vec![
-                            ("pid".to_string(), Json::UInt(s.pid)),
-                            ("cycles".to_string(), Json::UInt(s.cycles)),
-                            ("writes".to_string(), Json::UInt(s.writes)),
-                        ];
-                        if !s.diagnostics.is_empty() {
-                            fields.push(("diagnostics".to_string(), diags_json(&s.diagnostics)));
-                        }
-                        ("stored", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Diagnostics(ds) => ("diagnostics", Some(diags_json(ds))),
-                    ResponseBody::Stats(s) => {
-                        let mut fields = Vec::new();
-                        activity_json_fields(s, &mut fields);
-                        ("stats", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Session(info) => {
-                        let mut fields = vec![("token".to_string(), Json::Str(info.token.clone()))];
-                        activity_json_fields(&info.stats, &mut fields);
-                        fields.push((
-                            "stored_programs".to_string(),
-                            Json::UInt(info.stored_programs),
-                        ));
-                        if let Some(seq) = info.last_seq {
-                            fields.push(("last_seq".to_string(), Json::UInt(seq)));
-                        }
-                        ("session", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Programs(entries) => (
-                        "programs",
-                        Some(Json::Arr(
-                            entries.iter().map(program_entry_to_json).collect(),
-                        )),
-                    ),
-                    ResponseBody::Error(_) => unreachable!("handled above"),
-                };
-                push("kind", Json::Str(kind.into()));
-                if let Some(r) = result {
-                    push("result", r);
-                }
-            }
-        }
-        Json::Obj(fields).to_string()
+            ResponseBody::Pong => ("pong", None),
+            ResponseBody::Ok => ("ok", None),
+            ResponseBody::Scalar(n) => ("scalar", Some(n.to_json())),
+            ResponseBody::Words(ws) => ("words", Some(ws.to_json())),
+            ResponseBody::Class(c) => ("class", Some(c.to_json())),
+            ResponseBody::Program(r) => ("program", Some(r.to_json())),
+            ResponseBody::Stored(s) => ("stored", Some(s.to_json())),
+            ResponseBody::Diagnostics(ds) => ("diagnostics", Some(ds.to_json())),
+            ResponseBody::Stats(s) => ("stats", Some(with_activity(Json::object(), s).build())),
+            ResponseBody::Session(info) => ("session", Some(info.to_json())),
+            ResponseBody::Programs(entries) => ("programs", Some(entries.to_json())),
+        };
+        obj.field("ok", true)
+            .field("kind", kind)
+            .field_opt("result", result)
+            .build()
+            .to_string()
     }
 }
 

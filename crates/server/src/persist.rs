@@ -50,11 +50,8 @@
 
 use crate::guard::RateWindow;
 use crate::session::{Billing, Session, SessionInner, SessionRegistry, StoredEntry, REPLAY_WINDOW};
-use bpimc_core::json::Json;
-use bpimc_core::{
-    instr_from_json, instr_to_json, Instr, MacroBank, Program, Response, ResponseBody, RunStatus,
-    SessionActivity,
-};
+use bpimc_core::json::{FieldError, FromJson, Json, ToJson};
+use bpimc_core::{Instr, MacroBank, Program, Response, ResponseBody, RunStatus, SessionActivity};
 use bpimc_metrics::EnergyParams;
 use bpimc_stats::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -297,6 +294,7 @@ pub struct SessionRecord {
 }
 
 impl SessionRecord {
+    #[cfg(any(test, feature = "model"))]
     pub(crate) fn empty(token: String) -> Self {
         Self {
             token,
@@ -559,260 +557,167 @@ pub fn apply_event(reg: &mut RegistryRecord, ev: &Event) {
 // JSON codec (events, records, snapshots)
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn u64s_json(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::UInt(v)).collect())
-}
-
+/// A run status as the journal pins it: `null`, `{"ok":true}` or
+/// `{"ok":false,"message":…}` (the wire's `list_programs` encodes the same
+/// value as `last_status`/`last_error`).
 fn status_json(status: &Option<RunStatus>) -> Json {
     match status {
         None => Json::Null,
-        Some(RunStatus::Success) => obj(vec![("ok", Json::Bool(true))]),
-        Some(RunStatus::Error { message }) => obj(vec![
-            ("ok", Json::Bool(false)),
-            ("message", Json::Str(message.clone())),
-        ]),
+        Some(RunStatus::Success) => Json::object().field("ok", true).build(),
+        Some(RunStatus::Error { message }) => Json::object()
+            .field("ok", false)
+            .field("message", message)
+            .build(),
     }
 }
 
-fn status_from_json(v: &Json) -> Result<Option<RunStatus>, String> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Obj(_) => match v.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(Some(RunStatus::Success)),
-            Some(false) => Ok(Some(RunStatus::Error {
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            })),
-            None => Err("status object without 'ok'".into()),
-        },
-        _ => Err("status must be null or an object".into()),
-    }
-}
-
-fn prototypes_json(prototypes: &[Vec<u64>]) -> Json {
-    Json::Arr(prototypes.iter().map(|p| u64s_json(p)).collect())
-}
-
-fn prototypes_from_json(v: &Json) -> Result<Vec<Vec<u64>>, String> {
-    v.as_array()
-        .ok_or("prototypes must be an array")?
-        .iter()
-        .map(|p| p.as_u64_array().ok_or_else(|| "bad prototype row".into()))
-        .collect()
-}
-
-fn instrs_json(instrs: &[Instr]) -> Json {
-    Json::Arr(instrs.iter().map(instr_to_json).collect())
-}
-
-fn instrs_from_json(v: &Json) -> Result<Vec<Instr>, String> {
-    v.as_array()
-        .ok_or("instrs must be an array")?
-        .iter()
-        .map(|i| instr_from_json(i).map_err(|e| e.to_string()))
-        .collect()
-}
-
-fn record_json(rec: &SessionRecord) -> Json {
-    let mut fields = vec![
-        ("token", Json::Str(rec.token.clone())),
-        ("requests", Json::UInt(rec.stats.requests)),
-        ("errors", Json::UInt(rec.stats.errors)),
-        ("cycles", Json::UInt(rec.stats.cycles)),
-        ("energy_bits", Json::UInt(rec.stats.energy_fj.to_bits())),
-        ("next_pid", Json::UInt(rec.next_pid)),
-    ];
-    if let Some((start, cycles, energy)) = &rec.rate {
-        fields.push((
-            "rate",
-            obj(vec![
-                ("start_ms", Json::UInt(*start)),
-                ("cycles", Json::UInt(*cycles)),
-                ("energy_bits", Json::UInt(energy.to_bits())),
-            ]),
-        ));
-    }
-    if let Some((bits, prototypes)) = &rec.model {
-        fields.push((
-            "model",
-            obj(vec![
-                ("precision", Json::UInt(*bits as u64)),
-                ("prototypes", prototypes_json(prototypes)),
-            ]),
-        ));
-    }
-    if let Some(seq) = rec.last_seq {
-        fields.push(("last_seq", Json::UInt(seq)));
-    }
-    if let Some(ms) = rec.detached_since_ms {
-        fields.push(("detached_since_ms", Json::UInt(ms)));
-    }
-    fields.push((
-        "programs",
-        Json::Arr(
-            rec.programs
-                .iter()
-                .map(|p| {
-                    let mut f = vec![
-                        ("pid", Json::UInt(p.pid)),
-                        ("instrs", instrs_json(&p.instrs)),
-                        ("runs", Json::UInt(p.runs)),
-                        ("errors", Json::UInt(p.errors)),
-                        ("total_cycles", Json::UInt(p.total_cycles)),
-                        ("total_energy_bits", Json::UInt(p.total_energy_fj.to_bits())),
-                        ("status", status_json(&p.last_status)),
-                    ];
-                    if let Some(name) = &p.name {
-                        f.insert(1, ("name", Json::Str(name.clone())));
-                    }
-                    obj(f)
-                })
-                .collect(),
-        ),
-    ));
-    fields.push((
-        "replay",
-        Json::Arr(
-            rec.replay
-                .iter()
-                .map(|(seq, resp)| {
-                    obj(vec![
-                        ("seq", Json::UInt(*seq)),
-                        ("response", Json::Str(resp.clone())),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    obj(fields)
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field '{key}'"))
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn record_from_json(v: &Json) -> Result<SessionRecord, String> {
-    let mut rec = SessionRecord::empty(req_str(v, "token")?);
-    rec.stats = SessionActivity {
-        requests: req_u64(v, "requests")?,
-        errors: req_u64(v, "errors")?,
-        cycles: req_u64(v, "cycles")?,
-        energy_fj: f64::from_bits(req_u64(v, "energy_bits")?),
+fn status_from_json(v: Option<&Json>) -> Result<Option<RunStatus>, FieldError> {
+    let Some(status) = v.filter(|s| **s != Json::Null) else {
+        return Ok(None);
     };
-    rec.next_pid = req_u64(v, "next_pid")?;
-    if let Some(rate) = v.get("rate") {
-        rec.rate = Some((
-            req_u64(rate, "start_ms")?,
-            req_u64(rate, "cycles")?,
-            f64::from_bits(req_u64(rate, "energy_bits")?),
-        ));
+    Ok(Some(if status.req("ok")? {
+        RunStatus::Success
+    } else {
+        RunStatus::Error {
+            message: status.opt("message")?.unwrap_or_default(),
+        }
+    }))
+}
+
+/// Energies are journaled as `f64` bit patterns (`*_bits`), so recovered
+/// accounts are byte-identical rather than decimal round-trips.
+impl ToJson for ProgramRecord {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("pid", self.pid)
+            .field_opt("name", self.name.as_ref())
+            .field("instrs", &self.instrs)
+            .field("runs", self.runs)
+            .field("errors", self.errors)
+            .field("total_cycles", self.total_cycles)
+            .field("total_energy_bits", self.total_energy_fj.to_bits())
+            .field("status", status_json(&self.last_status))
+            .build()
     }
-    if let Some(model) = v.get("model") {
-        rec.model = Some((
-            req_u64(model, "precision")? as u32,
-            prototypes_from_json(model.get("prototypes").ok_or("model without prototypes")?)?,
-        ));
+}
+
+impl FromJson<'_> for ProgramRecord {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        Ok(ProgramRecord {
+            pid: v.req("pid")?,
+            name: v.opt("name")?,
+            instrs: v.req("instrs")?,
+            runs: v.req("runs")?,
+            errors: v.req("errors")?,
+            total_cycles: v.req("total_cycles")?,
+            total_energy_fj: f64::from_bits(v.req("total_energy_bits")?),
+            last_status: status_from_json(v.get("status"))?,
+        })
     }
-    rec.last_seq = v.get("last_seq").and_then(Json::as_u64);
-    rec.detached_since_ms = v.get("detached_since_ms").and_then(Json::as_u64);
-    for p in v
-        .get("programs")
-        .and_then(Json::as_array)
-        .ok_or("record without programs")?
-    {
-        rec.programs.push(ProgramRecord {
-            pid: req_u64(p, "pid")?,
-            name: p.get("name").and_then(Json::as_str).map(str::to_string),
-            instrs: instrs_from_json(p.get("instrs").ok_or("program without instrs")?)?,
-            runs: req_u64(p, "runs")?,
-            errors: req_u64(p, "errors")?,
-            total_cycles: req_u64(p, "total_cycles")?,
-            total_energy_fj: f64::from_bits(req_u64(p, "total_energy_bits")?),
-            last_status: status_from_json(p.get("status").unwrap_or(&Json::Null))?,
+}
+
+impl ToJson for SessionRecord {
+    fn to_json(&self) -> Json {
+        let rate = self.rate.map(|(start, cycles, energy)| {
+            Json::object()
+                .field("start_ms", start)
+                .field("cycles", cycles)
+                .field("energy_bits", energy.to_bits())
         });
+        let model = self.model.as_ref().map(|(bits, prototypes)| {
+            Json::object()
+                .field("precision", *bits)
+                .field("prototypes", prototypes)
+        });
+        let replay: Vec<Json> = self
+            .replay
+            .iter()
+            .map(|(seq, response)| {
+                Json::object()
+                    .field("seq", *seq)
+                    .field("response", response)
+                    .build()
+            })
+            .collect();
+        Json::object()
+            .field("token", &self.token)
+            .field("requests", self.stats.requests)
+            .field("errors", self.stats.errors)
+            .field("cycles", self.stats.cycles)
+            .field("energy_bits", self.stats.energy_fj.to_bits())
+            .field("next_pid", self.next_pid)
+            .field_opt("rate", rate)
+            .field_opt("model", model)
+            .field_opt("last_seq", self.last_seq)
+            .field_opt("detached_since_ms", self.detached_since_ms)
+            .field("programs", &self.programs)
+            .field("replay", replay)
+            .build()
     }
-    for r in v
-        .get("replay")
-        .and_then(Json::as_array)
-        .ok_or("record without replay")?
-    {
-        rec.replay
-            .push((req_u64(r, "seq")?, req_str(r, "response")?));
+}
+
+impl FromJson<'_> for SessionRecord {
+    fn from_json(v: &Json, _key: &str) -> Result<Self, FieldError> {
+        let rate = match v.opt::<&Json>("rate")? {
+            Some(r) => Some((
+                r.req("start_ms")?,
+                r.req("cycles")?,
+                f64::from_bits(r.req("energy_bits")?),
+            )),
+            None => None,
+        };
+        let model = match v.opt::<&Json>("model")? {
+            Some(m) => Some((m.req("precision")?, m.req("prototypes")?)),
+            None => None,
+        };
+        let replay = v
+            .req::<&[Json]>("replay")?
+            .iter()
+            .map(|r| Ok((r.req("seq")?, r.req("response")?)))
+            .collect::<Result<_, FieldError>>()?;
+        Ok(SessionRecord {
+            token: v.req("token")?,
+            stats: SessionActivity {
+                requests: v.req("requests")?,
+                errors: v.req("errors")?,
+                cycles: v.req("cycles")?,
+                energy_fj: f64::from_bits(v.req("energy_bits")?),
+            },
+            rate,
+            model,
+            next_pid: v.req("next_pid")?,
+            last_seq: v.opt("last_seq")?,
+            detached_since_ms: v.opt("detached_since_ms")?,
+            programs: v.req("programs")?,
+            replay,
+        })
     }
-    Ok(rec)
 }
 
 fn event_json(ev: &Event) -> Json {
-    let mut fields: Vec<(&str, Json)> = Vec::new();
-    let kind = match ev {
-        Event::Open { token, record } => {
-            fields.push(("token", Json::Str(token.clone())));
-            fields.push(("record", record_json(record)));
-            "open"
-        }
-        Event::Attach { token } => {
-            fields.push(("token", Json::Str(token.clone())));
-            "attach"
-        }
-        Event::Detach { token, unix_ms } => {
-            fields.push(("token", Json::Str(token.clone())));
-            fields.push(("at_ms", Json::UInt(*unix_ms)));
-            "detach"
-        }
-        Event::Expire { token } => {
-            fields.push(("token", Json::Str(token.clone())));
-            "expire"
-        }
+    let head = |kind: &str, token: &str| Json::object().field("ev", kind).field("token", token);
+    match ev {
+        Event::Open { token, record } => head("open", token).field("record", record.to_json()),
+        Event::Attach { token } => head("attach", token),
+        Event::Detach { token, unix_ms } => head("detach", token).field("at_ms", *unix_ms),
+        Event::Expire { token } => head("expire", token),
         Event::Model {
             token,
             precision_bits,
             prototypes,
-        } => {
-            fields.push(("token", Json::Str(token.clone())));
-            fields.push(("precision", Json::UInt(*precision_bits as u64)));
-            fields.push(("prototypes", prototypes_json(prototypes)));
-            "model"
-        }
+        } => head("model", token)
+            .field("precision", *precision_bits)
+            .field("prototypes", prototypes),
         Event::Store {
             token,
             pid,
             name,
             instrs,
-        } => {
-            fields.push(("token", Json::Str(token.clone())));
-            fields.push(("pid", Json::UInt(*pid)));
-            if let Some(name) = name {
-                fields.push(("name", Json::Str(name.clone())));
-            }
-            fields.push(("instrs", instrs_json(instrs)));
-            "store"
-        }
-        Event::Delete { token, pid } => {
-            fields.push(("token", Json::Str(token.clone())));
-            fields.push(("pid", Json::UInt(*pid)));
-            "delete"
-        }
+        } => head("store", token)
+            .field("pid", *pid)
+            .field_opt("name", name.as_ref())
+            .field("instrs", instrs),
+        Event::Delete { token, pid } => head("delete", token).field("pid", *pid),
         Event::Exec {
             token,
             billing,
@@ -821,89 +726,71 @@ fn event_json(ev: &Event) -> Json {
             response,
             unix_ms,
         } => {
-            fields.push(("token", Json::Str(token.clone())));
+            let obj = head("exec", token);
             match billing {
-                BillingRecord::Ok { cycles, energy_fj } => {
-                    fields.push(("billing", Json::Str("ok".into())));
-                    fields.push(("cycles", Json::UInt(*cycles)));
-                    fields.push(("energy_bits", Json::UInt(energy_fj.to_bits())));
-                }
+                BillingRecord::Ok { cycles, energy_fj } => obj
+                    .field("billing", "ok")
+                    .field("cycles", *cycles)
+                    .field("energy_bits", energy_fj.to_bits()),
                 BillingRecord::Error { message } => {
-                    fields.push(("billing", Json::Str("error".into())));
-                    fields.push(("message", Json::Str(message.clone())));
+                    obj.field("billing", "error").field("message", message)
                 }
-                BillingRecord::None => fields.push(("billing", Json::Str("none".into()))),
+                BillingRecord::None => obj.field("billing", "none"),
             }
-            if let Some(pid) = ran_pid {
-                fields.push(("ran_pid", Json::UInt(*pid)));
-            }
-            if let Some(seq) = seq {
-                fields.push(("seq", Json::UInt(*seq)));
-            }
-            if let Some(resp) = response {
-                fields.push(("response", Json::Str(resp.clone())));
-            }
-            fields.push(("at_ms", Json::UInt(*unix_ms)));
-            "exec"
+            .field_opt("ran_pid", *ran_pid)
+            .field_opt("seq", *seq)
+            .field_opt("response", response.as_ref())
+            .field("at_ms", *unix_ms)
         }
-    };
-    let mut all = vec![("ev", Json::Str(kind.into()))];
-    all.extend(fields);
-    obj(all)
+    }
+    .build()
 }
 
 fn event_from_json(v: &Json) -> Result<Event, String> {
-    let kind = v
-        .get("ev")
-        .and_then(Json::as_str)
-        .ok_or("event without 'ev'")?;
-    let token = req_str(v, "token")?;
+    let kind: &str = v.req("ev")?;
+    let token = v.req("token")?;
     Ok(match kind {
         "open" => Event::Open {
             token,
-            record: Box::new(record_from_json(
-                v.get("record").ok_or("open without record")?,
-            )?),
+            record: Box::new(v.req("record")?),
         },
         "attach" => Event::Attach { token },
         "detach" => Event::Detach {
             token,
-            unix_ms: req_u64(v, "at_ms")?,
+            unix_ms: v.req("at_ms")?,
         },
         "expire" => Event::Expire { token },
         "model" => Event::Model {
             token,
-            precision_bits: req_u64(v, "precision")? as u32,
-            prototypes: prototypes_from_json(
-                v.get("prototypes").ok_or("model without prototypes")?,
-            )?,
+            precision_bits: v.req("precision")?,
+            prototypes: v.req("prototypes")?,
         },
         "store" => Event::Store {
             token,
-            pid: req_u64(v, "pid")?,
-            name: v.get("name").and_then(Json::as_str).map(str::to_string),
-            instrs: instrs_from_json(v.get("instrs").ok_or("store without instrs")?)?,
+            pid: v.req("pid")?,
+            name: v.opt("name")?,
+            instrs: v.req("instrs")?,
         },
         "delete" => Event::Delete {
             token,
-            pid: req_u64(v, "pid")?,
+            pid: v.req("pid")?,
         },
         "exec" => Event::Exec {
-            billing: match v.get("billing").and_then(Json::as_str) {
-                Some("ok") => BillingRecord::Ok {
-                    cycles: req_u64(v, "cycles")?,
-                    energy_fj: f64::from_bits(req_u64(v, "energy_bits")?),
+            billing: match v.req("billing")? {
+                "ok" => BillingRecord::Ok {
+                    cycles: v.req("cycles")?,
+                    energy_fj: f64::from_bits(v.req("energy_bits")?),
                 },
-                Some("error") => BillingRecord::Error {
-                    message: req_str(v, "message")?,
+                "error" => BillingRecord::Error {
+                    message: v.req("message")?,
                 },
-                Some("none") => BillingRecord::None,
-                _ => return Err("exec with unknown billing".into()),
+                "none" => BillingRecord::None,
+                other => return Err(format!("exec with unknown billing '{other}'")),
             },
-            ran_pid: v.get("ran_pid").and_then(Json::as_u64),
-            seq: v.get("seq").and_then(Json::as_u64),
-            response: v.get("response").and_then(Json::as_str).map(str::to_string),
-            unix_ms: req_u64(v, "at_ms")?,
+            ran_pid: v.opt("ran_pid")?,
+            seq: v.opt("seq")?,
+            response: v.opt("response")?,
+            unix_ms: v.req("at_ms")?,
             token,
         },
         other => return Err(format!("unknown event kind '{other}'")),
@@ -911,49 +798,25 @@ fn event_from_json(v: &Json) -> Result<Event, String> {
 }
 
 fn snapshot_json(reg: &RegistryRecord, created_ms: u64) -> Json {
-    obj(vec![
-        ("version", Json::UInt(1)),
-        ("created_ms", Json::UInt(created_ms)),
-        ("mint_counter", Json::UInt(reg.mint_counter)),
-        (
-            "expired",
-            Json::Arr(reg.expired.iter().map(|t| Json::Str(t.clone())).collect()),
-        ),
-        (
-            "sessions",
-            Json::Arr(reg.sessions.iter().map(record_json).collect()),
-        ),
-    ])
+    Json::object()
+        .field("version", 1u64)
+        .field("created_ms", created_ms)
+        .field("mint_counter", reg.mint_counter)
+        .field("expired", &reg.expired)
+        .field("sessions", &reg.sessions)
+        .build()
 }
 
 fn snapshot_from_json(v: &Json) -> Result<RegistryRecord, String> {
-    match v.get("version").and_then(Json::as_u64) {
-        Some(1) => {}
-        other => return Err(format!("unsupported snapshot version {other:?}")),
+    match v.req::<u64>("version")? {
+        1 => {}
+        other => return Err(format!("unsupported snapshot version {other}")),
     }
-    let mut reg = RegistryRecord {
-        mint_counter: req_u64(v, "mint_counter")?,
-        ..RegistryRecord::default()
-    };
-    for t in v
-        .get("expired")
-        .and_then(Json::as_array)
-        .ok_or("snapshot without expired ring")?
-    {
-        reg.expired.push(
-            t.as_str()
-                .ok_or("expired token must be a string")?
-                .to_string(),
-        );
-    }
-    for s in v
-        .get("sessions")
-        .and_then(Json::as_array)
-        .ok_or("snapshot without sessions")?
-    {
-        reg.sessions.push(record_from_json(s)?);
-    }
-    Ok(reg)
+    Ok(RegistryRecord {
+        mint_counter: v.req("mint_counter")?,
+        expired: v.req("expired")?,
+        sessions: v.req("sessions")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1911,7 +1774,8 @@ mod tests {
     #[test]
     fn records_roundtrip_with_exact_energy_bits() {
         let rec = sample_record();
-        let back = record_from_json(&Json::parse(&record_json(&rec).to_string()).unwrap()).unwrap();
+        let json = Json::parse(&rec.to_json().to_string()).unwrap();
+        let back = SessionRecord::from_json(&json, "record").unwrap();
         assert_eq!(back, rec);
         assert_eq!(
             back.programs[0].total_energy_fj.to_bits(),
@@ -2019,6 +1883,46 @@ mod tests {
             assert_eq!(event_json(&ev).to_string(), golden);
             let back = event_from_json(&Json::parse(golden).unwrap()).unwrap();
             assert_eq!(back, ev);
+        }
+    }
+
+    /// A CRC-valid event whose fields do not fit their types is an error
+    /// (recovery counts it as corruption), never truncated or dropped: a
+    /// precision of 2^32 + 8 must not come back as a P8 model.
+    #[test]
+    fn out_of_range_and_ill_typed_fields_are_rejected() {
+        let record = |extra: &str| {
+            format!(
+                r#"{{"ev":"open","token":"t","record":{{"token":"t","requests":0,"errors":0,"cycles":0,"energy_bits":0,"next_pid":1,{extra}"programs":[],"replay":[]}}}}"#
+            )
+        };
+        let exec = |extra: &str| {
+            format!(r#"{{"ev":"exec","token":"t","billing":"none",{extra}"at_ms":1}}"#)
+        };
+        for (line, needle) in [
+            (
+                r#"{"ev":"model","token":"t","precision":4294967304,"prototypes":[[1]]}"#.into(),
+                "field 'precision' out of range",
+            ),
+            (
+                record(r#""model":{"precision":4294967304,"prototypes":[[1]]},"#),
+                "field 'precision' out of range",
+            ),
+            (record(r#""last_seq":"9","#), "field 'last_seq'"),
+            (
+                record(r#""detached_since_ms":-1,"#),
+                "field 'detached_since_ms'",
+            ),
+            (exec(r#""seq":"4","#), "field 'seq'"),
+            (exec(r#""ran_pid":true,"#), "field 'ran_pid'"),
+            (exec(r#""seq":4,"response":7,"#), "field 'response'"),
+            (
+                r#"{"ev":"store","token":"t","pid":1,"name":7,"instrs":[]}"#.into(),
+                "field 'name'",
+            ),
+        ] {
+            let err = event_from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains(needle), "{line} -> {err}");
         }
     }
 
