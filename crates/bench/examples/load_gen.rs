@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Without `--addr` an in-process server is spawned on an ephemeral port
-//! (with fault injection enabled) and shut down gracefully at the end; each
-//! client injects one deliberate panic mid-stream and checks that only that
-//! request fails while the pool keeps serving.
+//! under a seeded panic-only [`FaultPlan`] and shut down gracefully at the
+//! end. The plan is a pure function of (seed, connection, request), so each
+//! client predicts with [`FaultPlan::compute_fault`] which of its requests
+//! panic and checks that exactly those fail while the pool keeps serving.
 //!
 //! With `--programs` the clients issue multi-instruction `exec_program`
 //! requests instead of the per-op mix: whole pipelines (staging writes,
@@ -61,7 +62,9 @@ use bpimc_core::{
     LogicOp, Precision, Program, RequestBody, ResponseBody, SessionActivity, StoredMeta,
     StoredTarget,
 };
-use bpimc_server::{Client, ClientError, FaultPlan, RetryPolicy, Server, ServerConfig};
+use bpimc_server::{
+    Client, ClientError, ComputeFault, FaultPlan, RetryPolicy, Server, ServerConfig,
+};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,7 +159,7 @@ enum Expect {
     Stored {
         writes: u64,
     },
-    /// A contained injected fault: an error mentioning the panic.
+    /// A contained injected panic: an error mentioning it.
     Fault,
     /// The session account at end of stream.
     Stats {
@@ -190,26 +193,22 @@ fn check(expect: &Expect, body: &ResponseBody) -> bool {
 
 /// The deterministic request stream one client drives: mixed per-op
 /// requests, whole `exec_program` pipelines, or stored-program replays.
+/// Request `r` expects an injected panic when `panics(r)`.
 fn build_stream(
     c: u64,
     requests: u64,
-    expect_faults: bool,
+    panics: &dyn Fn(u64) -> bool,
     programs: bool,
     stored: bool,
     stored_pids: &[u64],
 ) -> Vec<(RequestBody, Expect)> {
     let mut stream = Vec::with_capacity(requests as usize + 1);
-    let panic_at = requests / 2;
     for r in 0..requests {
-        if expect_faults && r == panic_at {
-            stream.push((RequestBody::InjectPanic, Expect::Fault));
-            continue;
-        }
         let k = c * 7919 + r * 131;
-        if stored {
+        let (body, expect) = if stored {
             let variant = r % 4;
             let (prog, outputs) = program_request(k, variant);
-            stream.push((
+            (
                 RequestBody::RunStored {
                     target: StoredTarget::Pid(stored_pids[variant as usize]),
                     inputs: write_bindings(&prog),
@@ -219,12 +218,10 @@ fn build_stream(
                     cycles: prog.instr_cycles(),
                     instrs: prog.instrs().len(),
                 },
-            ));
-            continue;
-        }
-        if programs {
+            )
+        } else if programs {
             let (prog, outputs) = program_request(k, r % 4);
-            stream.push((
+            (
                 RequestBody::ExecProgram {
                     instrs: prog.instrs().to_vec(),
                 },
@@ -233,85 +230,11 @@ fn build_stream(
                     cycles: prog.instr_cycles(),
                     instrs: prog.instrs().len(),
                 },
-            ));
-            continue;
-        }
-        let (body, expect) = match r % 5 {
-            0 => {
-                let x: Vec<u64> = (0..12).map(|i| (k + i * 3) % 256).collect();
-                let w: Vec<u64> = (0..12).map(|i| (k + i * 5 + 1) % 256).collect();
-                let dot: u64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
-                (
-                    RequestBody::Dot {
-                        precision: Precision::P8,
-                        x,
-                        w,
-                    },
-                    Expect::Scalar(dot),
-                )
-            }
-            1 => {
-                let a: Vec<u64> = (0..16).map(|i| (k + i) % 256).collect();
-                let b: Vec<u64> = (0..16).map(|i| (k * 3 + i) % 256).collect();
-                let sum: Vec<u64> = a.iter().zip(&b).map(|(x, y)| (x + y) & 0xFF).collect();
-                (
-                    RequestBody::Lanes {
-                        op: bpimc_core::LaneOp::Add,
-                        precision: Precision::P8,
-                        a,
-                        b,
-                    },
-                    Expect::Words(sum),
-                )
-            }
-            2 => {
-                let a: Vec<u64> = (0..8).map(|i| (k + i) % 16).collect();
-                let b: Vec<u64> = (0..8).map(|i| (k * 5 + i) % 16).collect();
-                let prod: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
-                (
-                    RequestBody::Lanes {
-                        op: bpimc_core::LaneOp::Mult,
-                        precision: Precision::P4,
-                        a,
-                        b,
-                    },
-                    Expect::Words(prod),
-                )
-            }
-            3 => {
-                let a: Vec<u64> = (0..4).map(|i| (k * 251 + i) % 65536).collect();
-                let b: Vec<u64> = (0..4).map(|i| (k * 509 + i) % 65536).collect();
-                let diff: Vec<u64> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(x, y)| x.wrapping_sub(*y) & 0xFFFF)
-                    .collect();
-                (
-                    RequestBody::Lanes {
-                        op: bpimc_core::LaneOp::Sub,
-                        precision: Precision::P16,
-                        a,
-                        b,
-                    },
-                    Expect::Words(diff),
-                )
-            }
-            _ => {
-                let a: Vec<u64> = (0..32).map(|i| (k + i * 3) % 4).collect();
-                let b: Vec<u64> = (0..32).map(|i| (k * 7 + i) % 4).collect();
-                let xor: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-                (
-                    RequestBody::Lanes {
-                        op: bpimc_core::LaneOp::Logic(LogicOp::Xor),
-                        precision: Precision::P2,
-                        a,
-                        b,
-                    },
-                    Expect::Words(xor),
-                )
-            }
+            )
+        } else {
+            lane_request(k, r)
         };
-        stream.push((body, expect));
+        stream.push((body, if panics(r) { Expect::Fault } else { expect }));
     }
     // The session account must agree on totals at the end of the stream.
     let setup = if stored { stored_pids.len() as u64 } else { 0 };
@@ -319,30 +242,103 @@ fn build_stream(
         RequestBody::Stats,
         Expect::Stats {
             requests: requests + setup,
-            errors: u64::from(expect_faults),
+            errors: (0..requests).filter(|&r| panics(r)).count() as u64,
         },
     ));
     stream
 }
 
+/// Request `r` of the per-op mix (dot, add, mult, sub, xor across
+/// precisions) keyed by `k`, with its host-computed answer.
+fn lane_request(k: u64, r: u64) -> (RequestBody, Expect) {
+    match r % 5 {
+        0 => {
+            let x: Vec<u64> = (0..12).map(|i| (k + i * 3) % 256).collect();
+            let w: Vec<u64> = (0..12).map(|i| (k + i * 5 + 1) % 256).collect();
+            let dot: u64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
+            (
+                RequestBody::Dot {
+                    precision: Precision::P8,
+                    x,
+                    w,
+                },
+                Expect::Scalar(dot),
+            )
+        }
+        1 => {
+            let a: Vec<u64> = (0..16).map(|i| (k + i) % 256).collect();
+            let b: Vec<u64> = (0..16).map(|i| (k * 3 + i) % 256).collect();
+            let sum: Vec<u64> = a.iter().zip(&b).map(|(x, y)| (x + y) & 0xFF).collect();
+            (
+                RequestBody::Lanes {
+                    op: bpimc_core::LaneOp::Add,
+                    precision: Precision::P8,
+                    a,
+                    b,
+                },
+                Expect::Words(sum),
+            )
+        }
+        2 => {
+            let a: Vec<u64> = (0..8).map(|i| (k + i) % 16).collect();
+            let b: Vec<u64> = (0..8).map(|i| (k * 5 + i) % 16).collect();
+            let prod: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
+            (
+                RequestBody::Lanes {
+                    op: bpimc_core::LaneOp::Mult,
+                    precision: Precision::P4,
+                    a,
+                    b,
+                },
+                Expect::Words(prod),
+            )
+        }
+        3 => {
+            let a: Vec<u64> = (0..4).map(|i| (k * 251 + i) % 65536).collect();
+            let b: Vec<u64> = (0..4).map(|i| (k * 509 + i) % 65536).collect();
+            let diff: Vec<u64> = a
+                .iter()
+                .zip(&b)
+                .map(|(x, y)| x.wrapping_sub(*y) & 0xFFFF)
+                .collect();
+            (
+                RequestBody::Lanes {
+                    op: bpimc_core::LaneOp::Sub,
+                    precision: Precision::P16,
+                    a,
+                    b,
+                },
+                Expect::Words(diff),
+            )
+        }
+        _ => {
+            let a: Vec<u64> = (0..32).map(|i| (k + i * 3) % 4).collect();
+            let b: Vec<u64> = (0..32).map(|i| (k * 7 + i) % 4).collect();
+            let xor: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
+            (
+                RequestBody::Lanes {
+                    op: bpimc_core::LaneOp::Logic(LogicOp::Xor),
+                    precision: Precision::P2,
+                    a,
+                    b,
+                },
+                Expect::Words(xor),
+            )
+        }
+    }
+}
+
 /// One client's deterministic request stream; returns (ok, failed)
 /// response counts, where "failed" includes any mismatch.
 fn drive_client(
-    addr: SocketAddr,
+    mut pipe: Client,
     c: u64,
     requests: u64,
-    expect_faults: bool,
+    plan: FaultPlan,
     programs: bool,
     stored: bool,
     window: usize,
 ) -> (u64, u64) {
-    let mut pipe = match Client::connect(addr) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("client {c}: connect failed: {e}");
-            return (0, requests);
-        }
-    };
     let mut ok = 0u64;
     let mut bad = 0u64;
 
@@ -372,7 +368,11 @@ fn drive_client(
         }
     }
 
-    let stream = build_stream(c, requests, expect_faults, programs, stored, &stored_pids);
+    // Client `c` connected `c + 1`-th, so the server knows it as
+    // connection `c + 1`; its stream requests follow the setup lines.
+    let setup = stored_pids.len() as u64;
+    let panics = |r: u64| plan.compute_fault(c + 1, setup + r) == Some(ComputeFault::Panic);
+    let stream = build_stream(c, requests, &panics, programs, stored, &stored_pids);
     let mut pending: std::collections::VecDeque<(u64, &Expect, &'static str)> =
         std::collections::VecDeque::new();
     let verify = |pipe: &mut Client,
@@ -404,7 +404,7 @@ fn drive_client(
                 }
             }
             Expect::Stored { .. } => "store_program",
-            Expect::Fault => "inject_panic",
+            Expect::Fault => "injected panic",
             Expect::Stats { .. } => "stats",
         };
         while pending.len() >= window {
@@ -441,7 +441,7 @@ fn drive_chaos_client(
     retry: RetryPolicy,
     progress: &AtomicU64,
 ) -> (u64, u64, u64, u64) {
-    let mut stream = build_stream(c, requests, false, false, false, &[]);
+    let mut stream = build_stream(c, requests, &|_| false, false, false, &[]);
     // The trailing stats self-check is replaced below by the stronger
     // exact-replay assertion.
     stream.pop();
@@ -568,8 +568,21 @@ fn replay_account(addr: SocketAddr, ops: &[RequestBody]) -> Result<SessionActivi
     client.stats()
 }
 
+/// The seeded schedule the plain in-process smoke serves under: worker
+/// panics only, so every response still arrives and each client can
+/// predict exactly which of its requests fail.
+const SMOKE_PLAN: FaultPlan = FaultPlan {
+    seed: 2020,
+    panic_per_mille: 20,
+    delay_per_mille: 0,
+    delay_ms: 0,
+    stall_per_mille: 0,
+    stall_ms: 0,
+    drop_per_mille: 0,
+};
+
 /// The seeded chaos schedule `--chaos` serves under: every fault type in
-/// the plan fires at a few percent, plus explicit `inject_panic` support.
+/// the plan fires at a few percent.
 fn chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         seed,
@@ -579,7 +592,6 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         stall_per_mille: 20,
         stall_ms: 2,
         drop_per_mille: 15,
-        inject_panic_op: true,
     }
 }
 
@@ -608,7 +620,7 @@ fn main() {
                 faults: if args.chaos {
                     chaos_plan(args.chaos_seed)
                 } else {
-                    FaultPlan::inject_panic_only()
+                    SMOKE_PLAN
                 },
                 ..ServerConfig::default()
             };
@@ -642,19 +654,32 @@ fn main() {
         run_chaos(addr, &args, spawned.expect("--chaos always spawns"));
         return;
     }
-    // Against an external server we do not know whether faults are enabled,
-    // so only the in-process run exercises injection.
-    let expect_faults = spawned.is_some();
+    // Against an external server we do not know its fault plan, so only
+    // the in-process run exercises injection.
+    let plan = if spawned.is_some() {
+        SMOKE_PLAN
+    } else {
+        FaultPlan::none()
+    };
+    // Sequential connects pin the server's connection ids to client order
+    // (accept order is arrival order), which the panic prediction keys on.
+    let clients: Vec<Client> = (0..args.clients)
+        .map(|c| {
+            Client::connect(addr).unwrap_or_else(|e| die(&format!("client {c}: connect: {e}")))
+        })
+        .collect();
 
     let t0 = Instant::now();
-    let workers: Vec<_> = (0..args.clients)
-        .map(|c| {
+    let workers: Vec<_> = clients
+        .into_iter()
+        .zip(0u64..)
+        .map(|(client, c)| {
             let requests = args.requests;
             let programs = args.programs;
             let stored = args.stored;
             let window = args.pipeline;
             std::thread::spawn(move || {
-                drive_client(addr, c, requests, expect_faults, programs, stored, window)
+                drive_client(client, c, requests, plan, programs, stored, window)
             })
         })
         .collect();

@@ -13,7 +13,6 @@
 //!     [--chaos-seed S] [--chaos-panic-pm N] [--chaos-delay-pm N]
 //!     [--chaos-delay-ms MS] [--chaos-stall-pm N] [--chaos-stall-ms MS]
 //!     [--chaos-drop-pm N]
-//!     [--fault-injection]   # honour explicit inject_panic requests only
 //!     [--state-dir DIR]     # crash-safe durable state: write-ahead
 //!     [--fsync always|interval:<ms>|never]  # journal + snapshots in DIR
 //! repro state --state-dir DIR   # inspect/verify a state directory:
@@ -56,7 +55,6 @@ struct BenchReport {
     seed: u64,
     /// True when fig2 ran, i.e. `samples`/`seed` describe a real run.
     ran_fig2: bool,
-    experiments: Vec<(String, f64)>,
 }
 
 /// The pre-refactor (seed, commit 85e31a3) numbers, measured on the same
@@ -71,14 +69,6 @@ const BASELINE_JSON: &str = r#"{
   }"#;
 
 impl BenchReport {
-    fn record<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.experiments
-            .push((name.to_string(), t0.elapsed().as_secs_f64()));
-        out
-    }
-
     /// Simulated per-op cycle counts (Table I ground truth, precision-swept)
     /// plus the supplied host measurements. Pure serialization: the caller
     /// measures (`micro_timings`) and records history.
@@ -89,16 +79,7 @@ impl BenchReport {
             let _ = writeln!(s, "  \"samples\": {},", self.samples);
             let _ = writeln!(s, "  \"seed\": {},", self.seed);
         }
-        s.push_str("  \"experiments_wall_s\": {\n");
-        for (i, (name, secs)) in self.experiments.iter().enumerate() {
-            let comma = if i + 1 < self.experiments.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    \"{name}\": {secs:.4}{comma}");
-        }
-        s.push_str("  },\n  \"simulated_cycles\": {\n");
+        s.push_str("  \"simulated_cycles\": {\n");
         let cycles = simulated_cycles();
         for (i, (name, c)) in cycles.iter().enumerate() {
             let comma = if i + 1 < cycles.len() { "," } else { "" };
@@ -545,9 +526,7 @@ fn serve_throughput() -> f64 {
 ///
 /// Beyond `--addr`/`--macros`, the flags map onto the server's guardrail
 /// and chaos knobs: `--max-*` set per-session limits ([`SessionLimits`]),
-/// `--chaos-*` build a seeded deterministic [`FaultPlan`],
-/// `--fault-injection` only makes the server honour explicit
-/// `inject_panic` requests (it injects nothing by itself), and
+/// `--chaos-*` build a seeded deterministic [`FaultPlan`], and
 /// `--session-ttl-ms` / `--max-sessions` / `--max-registry-programs`
 /// bound the durable-session registry (how long a detached session
 /// lingers before the sweeper collects it, and the global caps on
@@ -582,9 +561,6 @@ fn serve(args: &[String]) {
                     .unwrap_or_else(|| die("--macros needs a positive number"));
                 config.batch_max = 4 * config.macros;
             }
-            // Honour explicit `inject_panic` requests; injects nothing by
-            // itself (for scheduled chaos use the `--chaos-*` flags).
-            "--fault-injection" => config.faults.inject_panic_op = true,
             "--chaos-seed" => config.faults.seed = num("--chaos-seed"),
             "--chaos-panic-pm" => config.faults.panic_per_mille = num("--chaos-panic-pm") as u16,
             "--chaos-delay-pm" => config.faults.delay_per_mille = num("--chaos-delay-pm") as u16,
@@ -669,9 +645,6 @@ fn serve(args: &[String]) {
             config.faults.stall_ms,
             config.faults.drop_per_mille,
         );
-    }
-    if config.faults.inject_panic_op {
-        println!("explicit inject_panic requests are honoured");
     }
     if let Some(state) = &config.state {
         println!(
@@ -1140,7 +1113,7 @@ fn main() {
     if args.is_empty() {
         eprintln!("usage: repro [all|fig2|fig7a|fig7b|fig8|fig9|table1|table2|table3|ablation|vrange]... [--samples N] [--seed S] [--json]");
         eprintln!(
-            "       repro serve [--addr HOST:PORT] [--macros N] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--fault-injection (honour inject_panic only)] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
+            "       repro serve [--addr HOST:PORT] [--macros N] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
         );
         eprintln!("       repro state --state-dir DIR  (inspect/verify durable state; non-zero exit on corruption)");
         eprintln!("       repro check-bench [--baseline FILE]");
@@ -1193,43 +1166,41 @@ fn main() {
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
-    let mut report = BenchReport {
+    let report = BenchReport {
         samples,
         seed,
-        ran_fig2: false,
-        experiments: Vec::new(),
+        ran_fig2: want("fig2"),
     };
 
     if want("table1") {
-        println!("{}\n", report.record("table1", table1::run));
+        println!("{}\n", table1::run());
     }
     if want("fig7b") {
-        println!("{}\n", report.record("fig7b", fig7b::run));
+        println!("{}\n", fig7b::run());
     }
     if want("fig8") {
-        println!("{}\n", report.record("fig8", fig8::run));
+        println!("{}\n", fig8::run());
     }
     if want("fig9") {
-        println!("{}\n", report.record("fig9", fig9::run));
+        println!("{}\n", fig9::run());
     }
     if want("table2") {
-        println!("{}\n", report.record("table2", table2::run));
+        println!("{}\n", table2::run());
     }
     if want("table3") {
-        println!("{}\n", report.record("table3", table3::run));
+        println!("{}\n", table3::run());
     }
     if want("vrange") {
-        println!("{}\n", report.record("vrange", vrange::run));
+        println!("{}\n", vrange::run());
     }
     if want("ablation") {
-        println!("{}\n", report.record("ablation", ablation::run));
+        println!("{}\n", ablation::run());
     }
     if want("fig7a") {
-        println!("{}\n", report.record("fig7a", fig7a::run));
+        println!("{}\n", fig7a::run());
     }
     if want("fig2") {
-        report.ran_fig2 = true;
-        println!("{}\n", report.record("fig2", || fig2::run(samples, seed)));
+        println!("{}\n", fig2::run(samples, seed));
     }
 
     if json {

@@ -23,7 +23,6 @@
 //! | `open_session` | — | mint a durable session keyed by an unguessable token |
 //! | `resume_session` | `token` | re-attach a later connection to a durable session |
 //! | `stats` | — | the session's activity account so far |
-//! | `inject_panic` | — | fault injection (only if the server enables it) |
 //! | `shutdown` | — | ask the server to drain and stop |
 //!
 //! `precision` is the lane width in bits (2/4/8/16/32); vectors are arrays
@@ -321,9 +320,6 @@ pub enum RequestBody {
     },
     /// The session's activity account (state *before* this request).
     Stats,
-    /// Deliberately panics the executing job (fault injection; the server
-    /// only honours it when started with fault injection enabled).
-    InjectPanic,
     /// Asks the server to finish queued work and shut down.
     Shutdown,
 }
@@ -1156,7 +1152,6 @@ impl RequestBody {
             RequestBody::ResumeSession { .. } => "resume_session",
             RequestBody::LintProgram { .. } => "lint_program",
             RequestBody::Stats => "stats",
-            RequestBody::InjectPanic => "inject_panic",
             RequestBody::Shutdown => "shutdown",
         }
     }
@@ -1223,7 +1218,6 @@ impl Request {
                 token: v.req("token")?,
             },
             "stats" => RequestBody::Stats,
-            "inject_panic" => RequestBody::InjectPanic,
             "shutdown" => RequestBody::Shutdown,
             other => match LaneOp::from_name(other) {
                 Some(op) => RequestBody::Lanes {
@@ -1255,7 +1249,6 @@ impl Request {
             | RequestBody::ListPrograms
             | RequestBody::OpenSession
             | RequestBody::Stats
-            | RequestBody::InjectPanic
             | RequestBody::Shutdown => obj,
             RequestBody::Dot { precision, x, w } => obj
                 .field("precision", precision)
@@ -1633,15 +1626,6 @@ mod tests {
         ),
         (
             Request {
-                id: 7,
-                timeout_ms: None,
-                seq: None,
-                body: RequestBody::InjectPanic,
-            },
-            r#"{"id":7,"op":"inject_panic"}"#.to_string(),
-        ),
-        (
-            Request {
                 id: 8,
                 timeout_ms: None,
                 seq: None,
@@ -2001,6 +1985,7 @@ mod tests {
             ("not json", "malformed"),
             ("{\"id\":1}", "op"),
             ("{\"id\":1,\"op\":\"frobnicate\"}", "unknown op"),
+            ("{\"id\":1,\"op\":\"inject_panic\"}", "unknown op"),
             ("{\"op\":\"ping\"}", "id"),
             ("{\"id\":1,\"op\":\"dot\",\"precision\":8,\"x\":[1]}", "'w'"),
             (

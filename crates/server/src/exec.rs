@@ -56,8 +56,6 @@ pub(crate) struct ComputeJob {
     pub max_program_instrs: Option<usize>,
     /// Chaos: fault injected into this job's execution, if any.
     pub fault: Option<ComputeFault>,
-    /// Honour an explicit `inject_panic` request.
-    pub inject_panic_allowed: bool,
     /// Run [`Program::optimize`] on `exec_program` streams before
     /// executing ([`crate::ServerConfig::optimize_programs`]).
     pub optimize: bool,
@@ -72,7 +70,6 @@ pub(crate) fn is_compute(body: &RequestBody) -> bool {
             | RequestBody::Classify { .. }
             | RequestBody::ExecProgram { .. }
             | RequestBody::RunStored { .. }
-            | RequestBody::InjectPanic
     )
 }
 
@@ -103,7 +100,7 @@ pub(crate) fn run_compute(
         );
     }
     match job.fault {
-        Some(ComputeFault::Panic) => panic!("injected chaos fault (worker panic)"),
+        Some(ComputeFault::Panic) => panic!("injected fault (chaos plan worker panic)"),
         Some(ComputeFault::Delay(d)) => std::thread::sleep(d),
         None => {}
     }
@@ -244,12 +241,6 @@ fn compute_body(
                 .run_with_inputs(mac, &bindings)
                 .map_err(|e| ErrorBody::from(&e))?;
             program_report(mac, params, run)
-        }
-        RequestBody::InjectPanic => {
-            if job.inject_panic_allowed {
-                panic!("injected fault (inject_panic request)");
-            }
-            Err("fault injection is disabled on this server".into())
         }
         other => Err(format!("not a compute request: {other:?}").into()),
     }

@@ -187,18 +187,38 @@ fn concurrent_clients_get_correct_results_and_accounting() {
 
 #[test]
 fn injected_panic_fails_only_its_own_request() {
+    use bpimc_server::{ComputeFault, FaultPlan};
+    // A seeded plan that spares the three sibling connections (ids 1-3,
+    // connected first) for their 40 dots and panics some of the chaos
+    // connection's (id 4) requests. The plan is a pure function of
+    // (seed, connection, request), so every panic is predicted up front.
+    const CHAOS_CONN: u64 = 4;
+    let plan = (0..50_000u64)
+        .map(|seed| FaultPlan {
+            seed,
+            panic_per_mille: 50,
+            ..FaultPlan::default()
+        })
+        .find(|plan| (1..CHAOS_CONN).all(|conn| !plan.touches_conn(conn, 40)))
+        .expect("a seed that spares the siblings");
     let handle = start(ServerConfig {
         macros: 2,
-        faults: bpimc_server::FaultPlan::inject_panic_only(),
+        faults: plan,
         ..ServerConfig::default()
     });
     let addr = handle.local_addr();
 
-    // Sibling clients hammer the bank while one client injects panics.
-    let victims: Vec<_> = (0..3u64)
-        .map(|c| {
+    // Sibling clients hammer the bank while one client takes panics.
+    // Sequential connects pin the connection ids to accept order.
+    let siblings: Vec<Client> = (1..CHAOS_CONN)
+        .map(|_| Client::connect(addr).expect("connect"))
+        .collect();
+    let mut chaos = Client::connect(addr).expect("connect");
+    let victims: Vec<_> = siblings
+        .into_iter()
+        .zip(0u64..)
+        .map(|(mut client, c)| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
                 for round in 0..40u64 {
                     let x = [c + round, 2, 3];
                     let w = [5, 6, 7];
@@ -209,21 +229,26 @@ fn injected_panic_fails_only_its_own_request() {
         })
         .collect();
 
-    let mut chaos = Client::connect(addr).expect("connect");
-    for _ in 0..10 {
-        match chaos.inject_panic() {
-            Err(ClientError::Server(msg)) => {
+    let mut panics = 0;
+    let mut requests = 0;
+    while panics < 10 {
+        let predicted = plan.compute_fault(CHAOS_CONN, requests);
+        requests += 1;
+        match chaos.dot(Precision::P8, &[9], &[9]) {
+            Err(ClientError::Server(msg)) if predicted == Some(ComputeFault::Panic) => {
                 assert!(msg.message.contains("panicked"), "{msg}");
                 assert!(msg.message.contains("injected fault"), "{msg}");
+                panics += 1;
             }
-            other => panic!("expected a contained server error, got {other:?}"),
+            // The same connection keeps working between and right after
+            // the faults.
+            Ok(v) if predicted.is_none() => assert_eq!(v, 81),
+            other => panic!("request {requests}: predicted {predicted:?}, got {other:?}"),
         }
-        // The same connection keeps working right after each fault.
-        assert_eq!(chaos.dot(Precision::P8, &[9], &[9]).expect("dot"), 81);
     }
     let stats = chaos.stats().expect("stats");
     assert_eq!(stats.errors, 10);
-    assert_eq!(stats.requests, 20);
+    assert_eq!(stats.requests, requests);
 
     for v in victims {
         v.join().expect("sibling clients unaffected");
