@@ -135,11 +135,6 @@ impl Json {
         }
     }
 
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
     /// The value as `f64` (integers widen losslessly up to 2^53).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -172,11 +167,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Convenience: an array of exact `u64`s (`None` if any element isn't).
-    pub fn as_u64_array(&self) -> Option<Vec<u64>> {
-        self.as_array()?.iter().map(Json::as_u64).collect()
-    }
 }
 
 /// Builds a JSON object one member at a time, in order ([`Json::object`]).
@@ -202,12 +192,6 @@ impl ObjBuilder {
     /// The finished object.
     pub fn build(self) -> Json {
         Json::Obj(self.0)
-    }
-}
-
-impl From<ObjBuilder> for Json {
-    fn from(b: ObjBuilder) -> Json {
-        b.build()
     }
 }
 
@@ -291,26 +275,34 @@ impl<'a> FromJson<'a> for &'a Json {
     }
 }
 
-impl FromJson<'_> for u64 {
-    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
-        v.as_u64()
-            .ok_or_else(|| FieldError::expected(key, "a non-negative integer"))
-    }
+/// Unsigned integers: exact, and range-checked on decode — a value that
+/// does not fit the target type is an error, never truncated.
+macro_rules! uint_json {
+    ($($t:ty),*) => {$(
+        impl FromJson<'_> for $t {
+            fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
+                let n = v
+                    .as_u64()
+                    .ok_or_else(|| FieldError::expected(key, "a non-negative integer"))?;
+                <$t>::try_from(n).map_err(|_| FieldError(format!("field '{key}' out of range")))
+            }
+        }
+
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::UInt(*self as u64)
+            }
+        }
+
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::UInt(v as u64)
+            }
+        }
+    )*};
 }
 
-impl FromJson<'_> for u32 {
-    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
-        u32::try_from(u64::from_json(v, key)?)
-            .map_err(|_| FieldError(format!("field '{key}' out of range")))
-    }
-}
-
-impl FromJson<'_> for usize {
-    fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
-        usize::try_from(u64::from_json(v, key)?)
-            .map_err(|_| FieldError(format!("field '{key}' out of range")))
-    }
-}
+uint_json!(u64, u32, usize);
 
 impl FromJson<'_> for f64 {
     fn from_json(v: &Json, key: &str) -> Result<Self, FieldError> {
@@ -365,24 +357,6 @@ impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
     }
 }
 
-impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::UInt(*self)
-    }
-}
-
-impl ToJson for u32 {
-    fn to_json(&self) -> Json {
-        Json::UInt(u64::from(*self))
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::UInt(*self as u64)
-    }
-}
-
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
@@ -432,27 +406,21 @@ impl<T: ToJson + ?Sized> From<&T> for Json {
     }
 }
 
-macro_rules! json_from_scalar {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(v: $t) -> Json {
-                v.to_json()
-            }
-        }
-    )*};
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Float(x)
+    }
 }
 
-json_from_scalar!(u64, u32, usize, f64, bool);
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
 
 impl From<String> for Json {
     fn from(s: String) -> Json {
         Json::Str(s)
-    }
-}
-
-impl From<Vec<Json>> for Json {
-    fn from(items: Vec<Json>) -> Json {
-        Json::Arr(items)
     }
 }
 
@@ -875,10 +843,14 @@ mod tests {
 
     #[test]
     fn u64_array_helper() {
-        let v = Json::parse("[1,2,3]").unwrap();
-        assert_eq!(v.as_u64_array(), Some(vec![1, 2, 3]));
-        let mixed = Json::parse("[1,2.5]").unwrap();
-        assert_eq!(mixed.as_u64_array(), None);
+        let v = Json::parse(r#"{"x":[1,2,3],"y":[1,2.5],"z":4294967296}"#).unwrap();
+        assert_eq!(v.req::<Vec<u64>>("x"), Ok(vec![1, 2, 3]));
+        let mixed = v.req::<Vec<u64>>("y").unwrap_err();
+        assert_eq!(mixed.0, "field 'y' must be a non-negative integer");
+        assert_eq!(v.req::<u32>("z").unwrap_err().0, "field 'z' out of range");
+        assert_eq!(v.req::<u64>("z"), Ok(1 << 32));
+        assert_eq!(v.req::<u64>("w").unwrap_err().0, "missing field 'w'");
+        assert_eq!(v.opt::<u64>("w"), Ok(None));
     }
 
     #[test]

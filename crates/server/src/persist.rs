@@ -623,11 +623,13 @@ impl ToJson for SessionRecord {
                 .field("start_ms", start)
                 .field("cycles", cycles)
                 .field("energy_bits", energy.to_bits())
+                .build()
         });
         let model = self.model.as_ref().map(|(bits, prototypes)| {
             Json::object()
                 .field("precision", *bits)
                 .field("prototypes", prototypes)
+                .build()
         });
         let replay: Vec<Json> = self
             .replay
@@ -651,7 +653,7 @@ impl ToJson for SessionRecord {
             .field_opt("last_seq", self.last_seq)
             .field_opt("detached_since_ms", self.detached_since_ms)
             .field("programs", &self.programs)
-            .field("replay", replay)
+            .field("replay", Json::Arr(replay))
             .build()
     }
 }

@@ -576,4 +576,5 @@ fn checked_in_crash_image_recovers_bit_for_bit() {
     }
     drop(d);
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
